@@ -6,12 +6,7 @@
 
 namespace vtsim {
 
-Trace &
-Trace::instance()
-{
-    static Trace trace;
-    return trace;
-}
+constinit Trace Trace::sink_;
 
 void
 Trace::enable(TraceFlag flags, std::ostream *os)

@@ -51,8 +51,10 @@ operator|(TraceFlag a, TraceFlag b)
 class Trace
 {
   public:
-    /** The process-global trace sink. */
-    static Trace &instance();
+    /** The process-global trace sink. Inline over a constant-initialized
+     *  static object, so the disabled VTSIM_TRACE on the issue path is one
+     *  load and one branch: no call and no initialization guard. */
+    static Trace &instance() { return sink_; }
 
     /** Route events matching @p flags to @p os (null disables). */
     void enable(TraceFlag flags, std::ostream *os);
@@ -80,7 +82,9 @@ class Trace
     static TraceFlag parseFlags(const std::string &list);
 
   private:
-    Trace() = default;
+    constexpr Trace() = default;
+
+    static Trace sink_;
 
     std::uint32_t mask_ = 0;
     std::ostream *out_ = nullptr;

@@ -68,6 +68,55 @@ VirtualThreadManager::configureGrid(GridId grid,
     VTSIM_ASSERT(footprint.warpsPerCta > 0 && footprint.threadsPerCta > 0,
                  "degenerate CTA footprint");
     fps_[grid] = footprint;
+    slotFits_ = anyGridFits();
+}
+
+bool
+VirtualThreadManager::anyGridFits() const
+{
+    for (const CtaFootprint &fp : fps_) {
+        if (fp.warpsPerCta > 0 && activeSlotFreeFor(fp))
+            return true;
+    }
+    return false;
+}
+
+void
+VirtualThreadManager::listActive(VirtualCtaId id)
+{
+    active_.insert(std::lower_bound(active_.begin(), active_.end(), id), id);
+}
+
+void
+VirtualThreadManager::unlistActive(VirtualCtaId id)
+{
+    const auto it = std::lower_bound(active_.begin(), active_.end(), id);
+    VTSIM_ASSERT(it != active_.end() && *it == id, "CTA ", id,
+                 " missing from the active list");
+    active_.erase(it);
+}
+
+void
+VirtualThreadManager::listInactive(VirtualCtaId id)
+{
+    const CtaRec &rec = ctas_[id];
+    AgeList &list =
+        rec.ready ? readyInactive_[rec.grid] : waitingInactive_[rec.grid];
+    const std::pair<std::uint64_t, VirtualCtaId> entry{rec.age, id};
+    list.insert(std::lower_bound(list.begin(), list.end(), entry), entry);
+}
+
+void
+VirtualThreadManager::unlistInactive(VirtualCtaId id)
+{
+    const CtaRec &rec = ctas_[id];
+    AgeList &list =
+        rec.ready ? readyInactive_[rec.grid] : waitingInactive_[rec.grid];
+    const std::pair<std::uint64_t, VirtualCtaId> entry{rec.age, id};
+    const auto it = std::lower_bound(list.begin(), list.end(), entry);
+    VTSIM_ASSERT(it != list.end() && *it == entry, "CTA ", id,
+                 " missing from the inactive lists");
+    list.erase(it);
 }
 
 bool
@@ -110,19 +159,23 @@ VirtualThreadManager::activate(VirtualCtaId id, Cycle now)
     CtaRec &rec = ctas_[id];
     const CtaFootprint &fp = fps_[rec.grid];
     VTSIM_ASSERT(activeSlotFreeFor(fp), "activate without a free slot");
+    unlistInactive(id);
     ++activeCtas_;
     warpsActive_ += fp.warpsPerCta;
     threadsActive_ += fp.threadsPerCta;
+    slotFits_ = anyGridFits();
     rec.stalledFor = 0;
     if (rec.everSwapped) {
         // Restoring saved scheduling state costs the swap-in latency.
         rec.state = CtaState::SwappingIn;
         rec.transitionAt = now + config_.vtSwapInLatency;
+        noteTransition(rec.transitionAt);
         ++swapIns_;
         ++gridSwapIns_[rec.grid];
         traceStateChange(id, CtaState::SwappingIn, now);
     } else {
         rec.state = CtaState::Active;
+        listActive(id);
         ++freshActivations_;
         traceStateChange(id, CtaState::Active, now);
         query_.onCtaIssuableChanged(id, true);
@@ -136,6 +189,7 @@ VirtualThreadManager::releaseActiveSlot(const CtaFootprint &fp)
     --activeCtas_;
     warpsActive_ -= fp.warpsPerCta;
     threadsActive_ -= fp.threadsPerCta;
+    slotFits_ = anyGridFits();
 }
 
 void
@@ -155,6 +209,8 @@ VirtualThreadManager::onAdmit(VirtualCtaId id, Cycle now, GridId grid)
     rec.age = nextAge_++;
     rec.state = CtaState::Inactive;
     rec.grid = grid;
+    rec.ready = query_.ctaPendingOffChip(id) == 0;
+    listInactive(id);
     ++residentCount_;
 
     VTSIM_TRACE(TraceFlag::Cta, now, stats_.name(), "admit cta ", id,
@@ -180,6 +236,7 @@ VirtualThreadManager::onCtaFinished(VirtualCtaId id, Cycle now)
         traceJson_->instant(smId_, id, now, "finish", "cta");
     }
     const CtaFootprint &fp = fps_[ctas_[id].grid];
+    unlistActive(id);
     releaseActiveSlot(fp);
     regsInUse_ -= fp.regsPerCta;
     sharedInUse_ -= fp.sharedPerCta;
@@ -191,6 +248,20 @@ VirtualThreadManager::onCtaFinished(VirtualCtaId id, Cycle now)
     if (incoming != invalidId &&
         activeSlotFreeFor(fps_[ctas_[incoming].grid]))
         activate(incoming, now);
+}
+
+void
+VirtualThreadManager::onCtaReadinessChanged(VirtualCtaId id, bool ready)
+{
+    VTSIM_ASSERT(id < ctas_.size() && ctas_[id].resident,
+                 "readiness flip of unknown CTA ", id);
+    CtaRec &rec = ctas_[id];
+    const bool listed = rec.state == CtaState::Inactive;
+    if (listed)
+        unlistInactive(id);
+    rec.ready = ready;
+    if (listed)
+        listInactive(id);
 }
 
 CtaState
@@ -222,8 +293,10 @@ VirtualThreadManager::forceSwapOut(VirtualCtaId id, Cycle now)
                 "preempt swap out cta ", id, " (grid ", out.grid, ")");
     // No swapStallStreak_ sample: this is a preemption, not the stall
     // trigger, and the histogram measures the trigger's patience.
+    unlistActive(id);
     out.state = CtaState::SwappingOut;
     out.transitionAt = now + config_.vtSwapOutLatency;
+    noteTransition(out.transitionAt);
     out.everSwapped = true;
     out.stalledFor = 0;
     traceStateChange(id, CtaState::SwappingOut, now);
@@ -236,40 +309,34 @@ VirtualThreadManager::forceSwapOut(VirtualCtaId id, Cycle now)
 VirtualCtaId
 VirtualThreadManager::pickSwapIn(bool require_ready) const
 {
+    // Ages are unique, so "oldest list front" is a total order. The
+    // paper's ReadyFirst policy prefers ready CTAs, oldest first within
+    // each class; the OldestFirst ablation takes strict age order.
+    const bool ready_first =
+        config_.vtSwapInPolicy == VtSwapInPolicy::ReadyFirst;
     VirtualCtaId best = invalidId;
-    bool best_ready = false;
     std::uint64_t best_age = ~0ull;
-    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
-        const CtaRec &rec = ctas_[id];
-        if (!rec.resident || rec.state != CtaState::Inactive)
-            continue;
-        if (activationBlocked_[rec.grid])
-            continue; // Preempt policy parks this grid's CTAs.
-        const bool ready = query_.ctaPendingOffChip(id) == 0;
-        if (config_.vtSwapInPolicy == VtSwapInPolicy::ReadyFirst) {
-            // Prefer ready CTAs; oldest first within each class.
-            if (best == invalidId || (ready && !best_ready) ||
-                (ready == best_ready && rec.age < best_age)) {
-                best = id;
-                best_ready = ready;
-                best_age = rec.age;
-            }
-        } else {
-            // OldestFirst ablation: strict age order.
-            if (rec.age < best_age) {
-                best = id;
-                best_ready = ready;
-                best_age = rec.age;
-            }
+    const auto consider = [&](const AgeList &list) {
+        if (!list.empty() && list.front().first < best_age) {
+            best_age = list.front().first;
+            best = list.front().second;
         }
+    };
+    for (GridId g = 0; g < maxGrids; ++g) {
+        if (activationBlocked_[g])
+            continue; // Preempt policy parks this grid's CTAs.
+        consider(readyInactive_[g]);
+        if (!ready_first)
+            consider(waitingInactive_[g]);
     }
     // Under the paper's policy a swap only pays off when the incoming CTA
     // is ready: never swap in a CTA that would immediately stall. Filling
     // an already-free slot (require_ready == false) takes any CTA.
-    if (require_ready &&
-        config_.vtSwapInPolicy == VtSwapInPolicy::ReadyFirst &&
-        !best_ready) {
-        return invalidId;
+    if (ready_first && best == invalidId && !require_ready) {
+        for (GridId g = 0; g < maxGrids; ++g) {
+            if (!activationBlocked_[g])
+                consider(waitingInactive_[g]);
+        }
     }
     return best;
 }
@@ -283,43 +350,33 @@ VirtualThreadManager::nextEventCycle(Cycle now) const
     // A free active slot with an inactive CTA waiting (possible after a
     // throttle-cap raise) activates at the very next tick, and so does
     // the next pair of an already-eligible swap (one pair per cycle).
-    {
+    if (slotFits_) {
         const VirtualCtaId cand = pickSwapIn(false);
         if (cand != invalidId &&
             activeSlotFreeFor(fps_[ctas_[cand].grid]))
             return now;
     }
-    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
+    Cycle next = nextTransition_ == neverCycle
+                     ? neverCycle
+                     : std::max(now, nextTransition_);
+    bool victim_armed = false;
+    for (const VirtualCtaId id : active_) {
         const CtaRec &rec = ctas_[id];
-        if (rec.resident && rec.state == CtaState::Active &&
-            rec.triggeredNow && rec.stalledFor >= config_.vtStallThreshold) {
-            if (pickSwapIn(true) != invalidId)
-                return now;
-            break; // No ready incoming; the same answer for any victim.
-        }
-    }
-
-    Cycle next = neverCycle;
-    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
-        const CtaRec &rec = ctas_[id];
-        if (!rec.resident)
-            continue;
-        if (rec.state == CtaState::SwappingOut ||
-            rec.state == CtaState::SwappingIn) {
-            next = std::min(next, std::max(now, rec.transitionAt));
-        } else if (rec.state == CtaState::Active &&
-                   rec.stalledFor < config_.vtStallThreshold &&
-                   rec.stalledNow) {
+        if (rec.stalledFor >= config_.vtStallThreshold) {
+            victim_armed = victim_armed || rec.triggeredNow;
+        } else if (rec.stalledNow) {
             // With the stall condition holding steady, the streak first
             // reaches the swap threshold at this cycle's tick. A streak
-            // already at/past the threshold generates no event: the
-            // trigger was evaluated above and whatever blocked it only
-            // changes on an external event.
+            // already at/past the threshold generates no event: whatever
+            // blocked its trigger only changes on an external event.
             next = std::min(
                 next,
                 now + (config_.vtStallThreshold - 1 - rec.stalledFor));
         }
     }
+    // No ready incoming is the same answer for any armed victim.
+    if (victim_armed && pickSwapIn(true) != invalidId)
+        return now;
     return next;
 }
 
@@ -332,11 +389,10 @@ VirtualThreadManager::fastForwardIdle(std::uint64_t n)
         return;
     // Replicate tick()'s streak tracking: stalled Active CTAs count the
     // window's cycles; everyone else's streak is already 0 and stays 0.
-    for (CtaRec &rec : ctas_) {
-        if (rec.resident && rec.state == CtaState::Active &&
-            rec.stalledNow) {
+    for (const VirtualCtaId id : active_) {
+        CtaRec &rec = ctas_[id];
+        if (rec.stalledNow)
             rec.stalledFor += n;
-        }
     }
 }
 
@@ -349,24 +405,34 @@ VirtualThreadManager::tick(Cycle now)
     if (!config_.vtEnabled)
         return;
 
-    // 1. Complete in-flight transitions.
-    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
-        CtaRec &rec = ctas_[id];
-        if (!rec.resident || rec.transitionAt > now)
-            continue;
-        if (rec.state == CtaState::SwappingOut) {
-            rec.state = CtaState::Inactive;
-            traceStateChange(id, CtaState::Inactive, now);
-        } else if (rec.state == CtaState::SwappingIn) {
-            rec.state = CtaState::Active;
-            rec.stalledFor = 0;
-            traceStateChange(id, CtaState::Active, now);
-            query_.onCtaIssuableChanged(id, true);
+    // 1. Complete in-flight transitions, in slot order, once the earliest
+    //    one is due; the scan re-derives the next due cycle.
+    if (now >= nextTransition_) {
+        nextTransition_ = neverCycle;
+        for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
+            CtaRec &rec = ctas_[id];
+            if (!rec.resident || (rec.state != CtaState::SwappingOut &&
+                                  rec.state != CtaState::SwappingIn))
+                continue;
+            if (rec.transitionAt > now) {
+                noteTransition(rec.transitionAt);
+            } else if (rec.state == CtaState::SwappingOut) {
+                rec.state = CtaState::Inactive;
+                listInactive(id);
+                traceStateChange(id, CtaState::Inactive, now);
+            } else {
+                rec.state = CtaState::Active;
+                rec.stalledFor = 0;
+                listActive(id);
+                traceStateChange(id, CtaState::Active, now);
+                query_.onCtaIssuableChanged(id, true);
+            }
         }
     }
 
     // 2. Fill any free active slots (e.g. freed by admissions racing).
-    while (true) {
+    //    When no configured footprint fits, no candidate's does either.
+    while (slotFits_) {
         const VirtualCtaId incoming = pickSwapIn(false);
         if (incoming == invalidId ||
             !activeSlotFreeFor(fps_[ctas_[incoming].grid]))
@@ -384,10 +450,8 @@ VirtualThreadManager::tick(Cycle now)
         config_.vtSwapTrigger == VtSwapTrigger::AnyWarpStalled;
     VirtualCtaId victim = invalidId;
     std::uint32_t victim_stall = 0;
-    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
+    for (const VirtualCtaId id : active_) {
         CtaRec &rec = ctas_[id];
-        if (!rec.resident || rec.state != CtaState::Active)
-            continue;
         const bool stalled = any_trigger
                                  ? query_.ctaAnyWarpLongStalled(id)
                                  : query_.ctaFullyStalled(id);
@@ -436,8 +500,10 @@ VirtualThreadManager::tick(Cycle now)
                 " cycles), swap in cta ", incoming);
     CtaRec &out = ctas_[victim];
     swapStallStreak_.sample(out.stalledFor);
+    unlistActive(victim);
     out.state = CtaState::SwappingOut;
     out.transitionAt = now + config_.vtSwapOutLatency;
+    noteTransition(out.transitionAt);
     out.everSwapped = true;
     traceStateChange(victim, CtaState::SwappingOut, now);
     query_.onCtaIssuableChanged(victim, false);
@@ -446,17 +512,20 @@ VirtualThreadManager::tick(Cycle now)
     releaseActiveSlot(fpOut);
 
     CtaRec &in = ctas_[incoming];
-    if (query_.ctaPendingOffChip(incoming) != 0)
+    if (!in.ready)
         ++swapInNotReady_;
+    unlistInactive(incoming);
     ++activeCtas_;
     warpsActive_ += fpIn.warpsPerCta;
     threadsActive_ += fpIn.threadsPerCta;
+    slotFits_ = anyGridFits();
     in.stalledFor = 0;
     in.everSwapped = true;
     in.state = CtaState::SwappingIn;
     // Restore begins after the outgoing state is saved.
     in.transitionAt = now + config_.vtSwapOutLatency +
                       config_.vtSwapInLatency;
+    noteTransition(in.transitionAt);
     ++swapIns_;
     ++gridSwapIns_[in.grid];
     traceStateChange(incoming, CtaState::SwappingIn, now);
@@ -476,6 +545,7 @@ VirtualThreadManager::reset()
     threadsActive_ = 0;
     regsInUse_ = 0;
     sharedInUse_ = 0;
+    rebuildDerived();
     swapOuts_.reset();
     swapIns_.reset();
     for (GridId g = 0; g < maxGrids; ++g) {
@@ -574,6 +644,66 @@ VirtualThreadManager::restore(Deserializer &des)
     restoreStat(des, activeSamples_);
     restoreStat(des, swapStallStreak_);
     des.endSection();
+    rebuildDerived();
+}
+
+void
+VirtualThreadManager::rebuildDerived()
+{
+    active_.clear();
+    for (GridId g = 0; g < maxGrids; ++g) {
+        readyInactive_[g].clear();
+        waitingInactive_[g].clear();
+    }
+    nextTransition_ = neverCycle;
+    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
+        CtaRec &rec = ctas_[id];
+        if (!rec.resident)
+            continue;
+        rec.ready = query_.ctaPendingOffChip(id) == 0;
+        switch (rec.state) {
+          case CtaState::Active: listActive(id); break;
+          case CtaState::Inactive: listInactive(id); break;
+          case CtaState::SwappingOut:
+          case CtaState::SwappingIn: noteTransition(rec.transitionAt); break;
+        }
+    }
+    slotFits_ = anyGridFits();
+}
+
+void
+VirtualThreadManager::verifyDerivedState() const
+{
+    std::vector<VirtualCtaId> active;
+    std::array<AgeList, maxGrids> ready{}, waiting{};
+    Cycle next = neverCycle;
+    for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
+        const CtaRec &rec = ctas_[id];
+        if (!rec.resident)
+            continue;
+        const bool is_ready = query_.ctaPendingOffChip(id) == 0;
+        VTSIM_ASSERT(rec.ready == is_ready, "cached readiness of CTA ", id,
+                     " diverged from its off-chip total");
+        if (rec.state == CtaState::Active)
+            active.push_back(id);
+        else if (rec.state == CtaState::Inactive)
+            (is_ready ? ready : waiting)[rec.grid].push_back({rec.age, id});
+        else
+            next = std::min(next, rec.transitionAt);
+    }
+    VTSIM_ASSERT(active == active_, "active list diverged on sm ", smId_);
+    for (GridId g = 0; g < maxGrids; ++g) {
+        std::sort(ready[g].begin(), ready[g].end());
+        std::sort(waiting[g].begin(), waiting[g].end());
+        VTSIM_ASSERT(ready[g] == readyInactive_[g] &&
+                         waiting[g] == waitingInactive_[g],
+                     "inactive lists of grid ", g, " diverged on sm ",
+                     smId_);
+    }
+    VTSIM_ASSERT(next == nextTransition_,
+                 "cached next transition diverged on sm ", smId_);
+    VTSIM_ASSERT(slotFits_ == anyGridFits(),
+                 "cached slot-fit answer diverged on sm ", smId_);
 }
 
 } // namespace vtsim

@@ -28,10 +28,12 @@
 #ifndef VTSIM_CORE_VIRTUAL_THREAD_HH
 #define VTSIM_CORE_VIRTUAL_THREAD_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -56,14 +58,21 @@ class VtCtaQuery
 
     /** True when no live warp of the CTA could issue this cycle for
      *  warp-local reasons (dependences, barrier), ignoring per-cycle
-     *  structural ports. */
+     *  structural ports. Asked of Active CTAs at the VT tick only. */
     virtual bool ctaFullyStalled(VirtualCtaId id) const = 0;
 
     /** True when at least one warp of the CTA is blocked waiting on an
-     *  off-chip (long-latency) memory dependence. */
+     *  off-chip (long-latency) memory dependence. Asked of Active CTAs
+     *  at the VT tick only. */
     virtual bool ctaAnyWarpLongStalled(VirtualCtaId id) const = 0;
 
-    /** Outstanding off-chip transactions across the CTA's warps. */
+    /**
+     * Outstanding off-chip transactions across the CTA's warps. The
+     * manager reads it only when it (re)builds its cached readiness — at
+     * admission, on restore and in the oracle; afterwards the owner
+     * reports every zero/non-zero flip through
+     * VirtualThreadManager::onCtaReadinessChanged.
+     */
     virtual std::uint32_t ctaPendingOffChip(VirtualCtaId id) const = 0;
 
     /**
@@ -129,6 +138,14 @@ class VirtualThreadManager
     /** The CTA retired all its warps. */
     void onCtaFinished(VirtualCtaId id, Cycle now);
 
+    /**
+     * The resident CTA's outstanding off-chip total (ctaPendingOffChip)
+     * just flipped: to zero (@p ready) or away from it. The owner must
+     * report every flip; swap-in candidate selection reads only this
+     * cached readiness and never queries back.
+     */
+    void onCtaReadinessChanged(VirtualCtaId id, bool ready);
+
     /** Advance the state machine one cycle. */
     void tick(Cycle now);
 
@@ -163,7 +180,13 @@ class VirtualThreadManager
      * lazily: already-active CTAs are unaffected; activations above the
      * cap are deferred.
      */
-    void setActiveCap(std::uint32_t cap) { dynamicCap_ = cap; }
+    void setActiveCap(std::uint32_t cap)
+    {
+        if (cap != dynamicCap_) {
+            dynamicCap_ = cap;
+            slotFits_ = anyGridFits();
+        }
+    }
     std::uint32_t activeCap() const { return dynamicCap_; }
 
     /**
@@ -191,6 +214,9 @@ class VirtualThreadManager
     /** Grid the resident CTA in slot @p id belongs to. */
     GridId gridOf(VirtualCtaId id) const;
     std::uint32_t residentCtas() const { return residentCount_; }
+    /** Earliest cycle an in-flight swap transition completes; neverCycle
+     *  when no CTA is swapping. */
+    Cycle nextTransition() const { return nextTransition_; }
     std::uint32_t activeCtas() const { return activeCtas_; }
 
     // --- Capacity bookkeeping (for FIG-2 utilisation) ---------------------
@@ -217,10 +243,16 @@ class VirtualThreadManager
     void setTraceJson(telemetry::TraceJsonWriter *writer)
     { traceJson_ = writer; }
 
-    // Checkpoint plumbing (driven by the owning SmCore).
+    // Checkpoint plumbing (driven by the owning SmCore). Only the CTA
+    // records, counters and stats are serialized; restore() rebuilds the
+    // derived lists and caches below from them.
     void reset();
     void save(Serializer &ser) const;
     void restore(Deserializer &des);
+
+    /** Oracle: recompute every derived list and cache from the CTA
+     *  records (readiness from the query) and assert they match. */
+    void verifyDerivedState() const;
 
   private:
     struct CtaRec
@@ -243,19 +275,38 @@ class VirtualThreadManager
         bool triggeredNow = false;
         /** Owning grid (concurrent launches; solo CTAs are grid 0). */
         GridId grid = 0;
+        /** Cached ctaPendingOffChip(id) == 0 (derived, not serialized). */
+        bool ready = true;
     };
+
+    /** (admission age, slot) pairs in ascending age order: oldest first. */
+    using AgeList = std::vector<std::pair<std::uint64_t, VirtualCtaId>>;
 
     /** Would one more Active CTA with footprint @p fp fit the
      *  scheduling limit right now? */
     bool activeSlotFreeFor(const CtaFootprint &fp) const;
-    /** Solo-path shorthand: grid 0's footprint. */
-    bool activeSlotFree() const { return activeSlotFreeFor(fps_[0]); }
     void activate(VirtualCtaId id, Cycle now);
     void releaseActiveSlot(const CtaFootprint &fp);
     /** Best inactive CTA to bring in, or invalidId. When
      *  @p require_ready is set (swap decisions under ReadyFirst), only a
-     *  CTA with no outstanding data qualifies. */
+     *  CTA with no outstanding data qualifies. O(grids): reads the fronts
+     *  of the per-grid inactive lists. */
     VirtualCtaId pickSwapIn(bool require_ready) const;
+
+    // Derived-state upkeep, called at every residency transition.
+    void listActive(VirtualCtaId id);
+    void unlistActive(VirtualCtaId id);
+    /** Enter / leave the Inactive lists (by the CTA's cached readiness). */
+    void listInactive(VirtualCtaId id);
+    void unlistInactive(VirtualCtaId id);
+    void noteTransition(Cycle at)
+    { nextTransition_ = std::min(nextTransition_, at); }
+    /** Does some configured grid's footprint fit a free active slot?
+     *  Cached in slotFits_ whenever the active counts, the cap or a
+     *  footprint change. */
+    bool anyGridFits() const;
+    /** Rebuild every derived list and cache from the CTA records. */
+    void rebuildDerived();
 
     /** Close slot @p id's open residency span and open @p state's. */
     void traceStateChange(VirtualCtaId id, CtaState state, Cycle now);
@@ -282,6 +333,17 @@ class VirtualThreadManager
     std::uint32_t threadsActive_ = 0;
     std::uint32_t regsInUse_ = 0;
     std::uint32_t sharedInUse_ = 0;
+
+    // --- Derived state (see ARCHITECTURE.md "The Virtual Thread manager")
+    /** Slots of the Active CTAs, ascending: the streak loop's order. */
+    std::vector<VirtualCtaId> active_;
+    /** Inactive CTAs per grid, split by cached readiness. */
+    std::array<AgeList, maxGrids> readyInactive_;
+    std::array<AgeList, maxGrids> waitingInactive_;
+    /** Earliest transitionAt of a Swapping* CTA (neverCycle if none). */
+    Cycle nextTransition_ = neverCycle;
+    /** Some configured grid's footprint fits a free active slot. */
+    bool slotFits_ = false;
 
     StatGroup stats_;
     Counter swapOuts_;

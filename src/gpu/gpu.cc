@@ -1604,14 +1604,22 @@ Gpu::runSharded(unsigned workers)
         }
 
         // Event-horizon fast-forward between epochs. Busy components
-        // pin the target to the present, so this self-guards: a jump
-        // happens only when provably nothing occurs at cycle_ either,
-        // in which case the sequential loop reaches the same horizon
-        // (one empty tick later) with identical bulk accounting.
+        // pin the target to the present, so a jump happens only when
+        // provably nothing occurs at cycle_ either, in which case the
+        // sequential loop reaches the same horizon (one empty tick
+        // later) with identical bulk accounting. Like the sequential
+        // loop, never jump right after a cycle that issued or admitted:
+        // the VT stall streaks cached at that cycle's VT phase predate
+        // its issue, and only a real tick re-evaluates them.
         if (!config_.fastForwardEnabled)
             continue;
         if (admitPending())
             continue;
+        if (std::any_of(sms_.begin(), sms_.end(), [&](const auto &sm) {
+                return sm->lastBusyCycle() == cycle_ - 1;
+            })) {
+            continue;
+        }
         const Cycle horizon = horizon_.target(cycle_, deadline);
         if (horizon <= cycle_)
             continue;

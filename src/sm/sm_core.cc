@@ -228,6 +228,7 @@ SmCore::admitCta(const CtaAssignment &assignment, Cycle now, GridId grid)
 {
     VTSIM_ASSERT(canAdmitCta(grid), "admitCta without canAdmitCta");
     onExternalEvent();
+    lastBusy_ = now;
 
     VirtualCtaId slot;
     if (!freeSlots_.empty()) {
@@ -251,6 +252,9 @@ SmCore::admitCta(const CtaAssignment &assignment, Cycle now, GridId grid)
 
     const std::uint32_t warps = launch.warpsPerCta();
     cta.warps.assign(warps, WarpContext());
+    cta.listed.assign(warps, 0);
+    cta.readyMembers = 0;
+    cta.readyOffchip = 0;
     cta.warpsAlive = warps;
     cta.schedWarps.assign(config_.numSchedulers, {});
     cta.aliveBySched.assign(config_.numSchedulers, 0);
@@ -797,6 +801,7 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
         res = execute(inst, w, mask, cta.func, *gmem_, launch);
     }
     warp.countIssue();
+    lastBusy_ = now;
     ++instructionsIssued_;
     threadInstructions_ += mask.count();
     ++gridInstructions_[cta.grid];
@@ -932,6 +937,7 @@ SmCore::finishCta(VirtualCtaId slot, Cycle now)
     barriers_.ctaFinished(slot);
     cta.valid = false;
     cta.warps.clear();
+    cta.listed.clear();
     cta.schedWarps.clear();
     cta.aliveBySched.clear();
     cta.barrierBySched.clear();
@@ -978,12 +984,15 @@ SmCore::offChipIssued(VirtualCtaId vcta, std::uint32_t warp_in_cta)
     VirtualCta &cta = ctas_[vcta];
     WarpContext &warp = cta.warps[warp_in_cta];
     warp.addOffChip();
-    ++cta.pendingOffChipTotal;
     if (warp.pendingOffChip() == 1 && !warp.done()) {
         ++cta.offchipBySched[warp.schedId()];
         if (vt_.isIssuable(vcta))
             ++schedIssuableOffchip_[warp.schedId()];
+        if (cta.listed[warp_in_cta])
+            ++cta.readyOffchip;
     }
+    if (++cta.pendingOffChipTotal == 1)
+        vt_.onCtaReadinessChanged(vcta, false);
 }
 
 void
@@ -1003,12 +1012,15 @@ SmCore::offChipReturned(VirtualCtaId vcta, std::uint32_t warp_in_cta)
     warp.removeOffChip();
     VTSIM_ASSERT(cta.pendingOffChipTotal > 0,
                  "off-chip aggregate underflow");
-    --cta.pendingOffChipTotal;
     if (warp.pendingOffChip() == 0 && !warp.done()) {
         --cta.offchipBySched[warp.schedId()];
         if (vt_.isIssuable(vcta))
             --schedIssuableOffchip_[warp.schedId()];
+        if (cta.listed[warp_in_cta])
+            --cta.readyOffchip;
     }
+    if (--cta.pendingOffChipTotal == 0)
+        vt_.onCtaReadinessChanged(vcta, true);
 }
 
 bool
@@ -1017,23 +1029,12 @@ SmCore::ctaFullyStalled(VirtualCtaId id) const
     const VirtualCta &cta = ctas_[id];
     VTSIM_ASSERT(cta.valid, "query on retired CTA");
     // warpCanIssueLocal(warp, now, /*ignore_structural=*/true) is exactly
-    // warpReadyMember(warp) && readyAt <= now, so for an issuable CTA the
-    // ready lists already hold the member warps: range-scan them instead
-    // of re-deriving hazards for every warp (this runs per active CTA per
-    // cycle as the VT swap trigger's stall poll).
-    if (config_.incrementalReadySets && vt_.isIssuable(id)) {
-        const std::uint64_t lo = readyKey(id, 0);
-        for (const std::vector<std::uint64_t> &list : ready_) {
-            const auto first =
-                std::lower_bound(list.begin(), list.end(), lo);
-            const auto last = std::lower_bound(first, list.end(), lo + 256);
-            for (auto it = first; it != last; ++it) {
-                if (cta.warps[*it & 0xff].readyAt() <= now_)
-                    return false;
-            }
-        }
-        return true;
-    }
+    // warpReadyMember(warp) && readyAt <= now. At the VT tick every ready
+    // member has readyAt <= now — readyAt is only ever set to cycle + 1,
+    // at an issue or barrier release of an earlier cycle — so for an
+    // issuable CTA "no warp could issue" is "no warp is listed".
+    if (config_.incrementalReadySets && vt_.isIssuable(id))
+        return cta.readyMembers == 0;
     for (const WarpContext &warp : cta.warps) {
         if (warp.done())
             continue;
@@ -1049,28 +1050,13 @@ SmCore::ctaAnyWarpLongStalled(VirtualCtaId id) const
     const VirtualCta &cta = ctas_[id];
     VTSIM_ASSERT(cta.valid, "query on retired CTA");
     // Same identity as ctaFullyStalled(): an off-chip warp is long-stalled
-    // unless it sits in a ready list with a mature readyAt. Comparing the
-    // issuable-now off-chip count against the CTA's off-chip total answers
-    // the existence query without scanning the warps.
+    // unless it is listed, so comparing the CTA's off-chip warps with its
+    // listed off-chip warps answers the existence query.
     if (config_.incrementalReadySets && vt_.isIssuable(id)) {
         std::uint32_t offchip_total = 0;
         for (std::uint32_t s = 0; s < config_.numSchedulers; ++s)
             offchip_total += cta.offchipBySched[s];
-        if (offchip_total == 0)
-            return false;
-        std::uint32_t offchip_ready = 0;
-        const std::uint64_t lo = readyKey(id, 0);
-        for (const std::vector<std::uint64_t> &list : ready_) {
-            const auto first =
-                std::lower_bound(list.begin(), list.end(), lo);
-            const auto last = std::lower_bound(first, list.end(), lo + 256);
-            for (auto it = first; it != last; ++it) {
-                const WarpContext &warp = cta.warps[*it & 0xff];
-                if (warp.pendingOffChip() > 0 && warp.readyAt() <= now_)
-                    ++offchip_ready;
-            }
-        }
-        return offchip_ready < offchip_total;
+        return offchip_total > cta.readyOffchip;
     }
     for (const WarpContext &warp : cta.warps) {
         if (warp.done())
@@ -1094,19 +1080,46 @@ SmCore::ctaPendingOffChip(VirtualCtaId id) const
 void
 SmCore::refreshWarp(VirtualCtaId slot, std::uint32_t w)
 {
-    const VirtualCta &cta = ctas_[slot];
+    VirtualCta &cta = ctas_[slot];
     if (!cta.valid)
         return;
     const WarpContext &warp = cta.warps[w];
     const bool want = vt_.isIssuable(slot) && warpReadyMember(cta, warp);
+    if (want == (cta.listed[w] != 0))
+        return;
     std::vector<std::uint64_t> &list = ready_[warp.schedId()];
     const std::uint64_t key = readyKey(slot, w);
     const auto it = std::lower_bound(list.begin(), list.end(), key);
-    const bool have = it != list.end() && *it == key;
-    if (want && !have)
+    const std::uint32_t offchip = warp.pendingOffChip() > 0 ? 1 : 0;
+    if (want) {
         list.insert(it, key);
-    else if (!want && have)
+        ++cta.readyMembers;
+        cta.readyOffchip += offchip;
+    } else {
         list.erase(it);
+        --cta.readyMembers;
+        cta.readyOffchip -= offchip;
+    }
+    cta.listed[w] = want;
+}
+
+void
+SmCore::rebuildReadyCounters()
+{
+    for (VirtualCta &cta : ctas_) {
+        cta.listed.assign(cta.warps.size(), 0);
+        cta.readyMembers = 0;
+        cta.readyOffchip = 0;
+    }
+    for (const auto &list : ready_) {
+        for (const std::uint64_t key : list) {
+            VirtualCta &cta = ctas_[key >> 8];
+            cta.listed[key & 0xff] = 1;
+            ++cta.readyMembers;
+            if (cta.warps[key & 0xff].pendingOffChip() > 0)
+                ++cta.readyOffchip;
+        }
+    }
 }
 
 void
@@ -1144,6 +1157,9 @@ SmCore::onCtaIssuableChanged(VirtualCtaId id, bool issuable)
                 std::lower_bound(first, list.end(), lo + 256);
             list.erase(first, last);
         }
+        std::fill(cta.listed.begin(), cta.listed.end(), 0);
+        cta.readyMembers = 0;
+        cta.readyOffchip = 0;
     }
 }
 
@@ -1192,6 +1208,7 @@ SmCore::reset()
     schedIssuableOffchip_.assign(config_.numSchedulers, 0);
     wbQueue_ = {};
     now_ = 0;
+    lastBusy_ = neverCycle;
     maxSimtDepth_ = 0;
     ffHorizon_ = 0;
     ffWindowStart_ = 0;
@@ -1322,6 +1339,7 @@ SmCore::restore(Deserializer &des)
                  "checkpoint scheduler count mismatch");
     for (auto &list : ready_)
         des.getVec(list);
+    rebuildReadyCounters();
     des.getVec(schedAlive_);
     des.getVec(schedFrozenAlive_);
     des.getVec(schedIssuableBarrier_);
@@ -1371,6 +1389,8 @@ SmCore::restore(Deserializer &des)
 void
 SmCore::verifyReadySets() const
 {
+    std::vector<std::uint32_t> members(ctas_.size(), 0);
+    std::vector<std::uint32_t> members_offchip(ctas_.size(), 0);
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
         std::vector<std::uint64_t> expected;
         std::uint32_t alive = 0;
@@ -1395,8 +1415,19 @@ SmCore::verifyReadySets() const
                     continue;
                 barrier += warp.atBarrier() ? 1 : 0;
                 offchip += warp.pendingOffChip() > 0 ? 1 : 0;
-                if (warpReadyMember(cta, warp))
+                const bool member = warpReadyMember(cta, warp);
+                VTSIM_ASSERT((cta.listed[w] != 0) == member,
+                             "listed flag diverged for warp ", w,
+                             " of cta ", slot);
+                if (member) {
                     expected.push_back(readyKey(slot, w));
+                    ++members[slot];
+                    members_offchip[slot] += warp.pendingOffChip() > 0;
+                    VTSIM_ASSERT(warp.readyAt() <= now_, "ready warp ", w,
+                                 " of cta ", slot, " has readyAt ",
+                                 warp.readyAt(), " > now ", now_,
+                                 " at the VT tick");
+                }
             }
             VTSIM_ASSERT(barrier == cta.barrierBySched[s] &&
                          offchip == cta.offchipBySched[s],
@@ -1415,6 +1446,19 @@ SmCore::verifyReadySets() const
                      issuable_offchip == schedIssuableOffchip_[s],
                      "ready aggregates diverged on sched ", s);
     }
+    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
+        const VirtualCta &cta = ctas_[slot];
+        if (!cta.valid)
+            continue;
+        std::uint32_t listed = 0;
+        for (const std::uint8_t flag : cta.listed)
+            listed += flag;
+        VTSIM_ASSERT(cta.readyMembers == members[slot] &&
+                         listed == members[slot] &&
+                         cta.readyOffchip == members_offchip[slot],
+                     "per-CTA ready counters diverged for cta ", slot);
+    }
+    vt_.verifyDerivedState();
 }
 
 } // namespace vtsim

@@ -165,6 +165,12 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     /** No resident CTAs and no memory traffic in flight. */
     bool idle() const;
 
+    /** The last cycle this SM issued an instruction or admitted a CTA
+     *  (neverCycle before the first). Not machine state: the sharded
+     *  epoch loop reads it to skip a horizon jump right after a busy
+     *  cycle, as the sequential loop does. */
+    Cycle lastBusyCycle() const { return lastBusy_; }
+
     /** Invalidate L1 (kernel boundary). */
     void flushCaches()
     {
@@ -311,9 +317,19 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
          *  classifier reads instead of scanning warps. */
         std::vector<std::uint32_t> offchipBySched;
         std::uint32_t warpsAlive = 0;
-        /** Sum of the warps' pendingOffChip counts, so the VT swap-in
-         *  readiness test does not rescan warps. */
+        /** Sum of the warps' pendingOffChip counts; its zero/non-zero
+         *  flips are the VT manager's swap-in readiness notifications. */
         std::uint32_t pendingOffChipTotal = 0;
+        /**
+         * Derived from the ready lists (rebuilt on restore, never
+         * checkpointed): per warp, whether its key is listed; the number
+         * of listed warps; and how many of those have >= 1 off-chip
+         * transaction outstanding. They answer the VT stall poll in O(1)
+         * and O(schedulers) — see ctaFullyStalled().
+         */
+        std::vector<std::uint8_t> listed;
+        std::uint32_t readyMembers = 0;
+        std::uint32_t readyOffchip = 0;
     };
 
     /** Per-cycle structural budgets, reset each tick. */
@@ -402,15 +418,22 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     { return grids_[cta.grid].launch; }
 
     /** Re-derive warp (slot, w)'s ready-set membership and insert or
-     *  remove its key accordingly. Idempotent; called after every state
+     *  remove its key accordingly, keeping the CTA's listed flags and
+     *  ready counters in step. Idempotent; called after every state
      *  transition that can change membership. */
     void refreshWarp(VirtualCtaId slot, std::uint32_t w);
+
+    /** Rebuild every CTA's listed flags and ready counters from the
+     *  ready lists (after restore). */
+    void rebuildReadyCounters();
 
     /** Retire warp @p w of issuable CTA @p slot: settle the alive /
      *  barrier / off-chip counters it contributed to. */
     void retireWarpCounters(VirtualCta &cta, const WarpContext &warp);
 
-    /** Cross-check ready sets and counters against a full scan. */
+    /** Cross-check ready sets and counters, and the VT manager's derived
+     *  state, against a full scan. Runs right after the VT tick, where
+     *  it also checks that every ready member has readyAt <= now. */
     void verifyReadySets() const;
 
     bool oracleEnabled() const
@@ -512,6 +535,7 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
                         std::greater<>> wbQueue_;
 
     Cycle now_ = 0;
+    Cycle lastBusy_ = neverCycle;
     std::uint32_t maxSimtDepth_ = 0;
 
     // Lazy-tick state: while now < ffHorizon_ and no external event

@@ -133,12 +133,6 @@ coRun(const GpuConfig &cfg, const std::vector<std::string> &names,
     return out;
 }
 
-std::string
-tempPath(const std::string &stem)
-{
-    return testing::TempDir() + stem;
-}
-
 // ---------------------------------------------------------------------------
 // N=1 degeneration: launchConcurrent with a single grid must be
 // bit-identical to the classic Gpu::launch on every workload and all
@@ -308,7 +302,7 @@ TEST(Concurrent, CheckpointRestoreMidCoRun)
 
         // The instrumented run writes one checkpoint half way through;
         // writing it must not perturb the run.
-        const std::string mid = tempPath("corun_mid_" + tag);
+        const std::string mid = test::uniqueTempPath("corun_mid_" + tag);
         {
             Gpu gpu(cfg);
             gpu.setCheckpoint(mid, ref.aggregate.cycles / 2);

@@ -24,6 +24,7 @@
 #include "service/protocol.hh"
 #include "service/service.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 namespace vtsim {
 namespace {
@@ -36,12 +37,6 @@ using service::JobState;
 using service::Json;
 using service::Priority;
 using service::ServiceConfig;
-
-std::string
-tempPath(const std::string &tag)
-{
-    return std::string(::testing::TempDir()) + "vtsim-evlog-" + tag;
-}
 
 /** Parse every line of @p path; a truncated final line (daemon killed
  *  mid-write) is skipped, anything else malformed fails the test. */
@@ -177,7 +172,7 @@ spinUntilStarted(JobService &service, service::JobId id)
 
 TEST(EventLog, SeqIsMonotonicAndJobEventsChain)
 {
-    const std::string path = tempPath("unit.jsonl");
+    const std::string path = test::uniqueTempPath("unit.jsonl");
     {
         EventLog log(path); // Emits log_open as seq 1.
         Json::Object start;
@@ -212,7 +207,7 @@ TEST(EventLog, SeqIsMonotonicAndJobEventsChain)
 
 TEST(EventLog, TruncatedTailLineIsTolerated)
 {
-    const std::string path = tempPath("truncated.jsonl");
+    const std::string path = test::uniqueTempPath("truncated.jsonl");
     {
         EventLog log(path);
         log.emit("service_start");
@@ -229,13 +224,13 @@ TEST(EventLog, TruncatedTailLineIsTolerated)
 
 TEST(JobServiceEvlog, PreemptParkResumeSequenceIsLogged)
 {
-    const std::string evlog = tempPath("preempt.jsonl");
+    const std::string evlog = test::uniqueTempPath("preempt.jsonl");
     ServiceConfig config;
     config.workers = 1;
     config.preemptEvery = 500;
-    config.spoolDir = tempPath("preempt-spool");
+    config.spoolDir = test::uniqueTempPath("preempt-spool");
     config.eventLogPath = evlog;
-    config.jobTracePath = tempPath("preempt.trace.json");
+    config.jobTracePath = test::uniqueTempPath("preempt.trace.json");
     {
         JobService service(config);
         JobSpec longJob;
@@ -286,10 +281,10 @@ TEST(JobServiceEvlog, PreemptParkResumeSequenceIsLogged)
 
 TEST(JobServiceEvlog, CrashRetryAndRejectAreLogged)
 {
-    const std::string evlog = tempPath("crash.jsonl");
+    const std::string evlog = test::uniqueTempPath("crash.jsonl");
     ServiceConfig config;
     config.workers = 1;
-    config.spoolDir = tempPath("crash-spool");
+    config.spoolDir = test::uniqueTempPath("crash-spool");
     config.eventLogPath = evlog;
     {
         JobService service(config);
@@ -340,9 +335,9 @@ TEST(JobServiceEvlog, ObservabilityDoesNotPerturbKernelStats)
 
     ServiceConfig config;
     config.workers = 1;
-    config.spoolDir = tempPath("identity-spool");
-    config.eventLogPath = tempPath("identity.jsonl");
-    config.jobTracePath = tempPath("identity.trace.json");
+    config.spoolDir = test::uniqueTempPath("identity-spool");
+    config.eventLogPath = test::uniqueTempPath("identity.jsonl");
+    config.jobTracePath = test::uniqueTempPath("identity.trace.json");
     JobService service(config);
     JobSpec spec;
     spec.workload = "reduce";

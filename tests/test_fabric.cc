@@ -33,6 +33,7 @@
 #include "service/protocol.hh"
 #include "service/service.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 namespace vtsim {
 namespace {
@@ -101,9 +102,7 @@ runUninterrupted(const std::string &name, std::uint32_t scale)
 std::string
 tempDir(const std::string &tag)
 {
-    const std::string path = std::string(::testing::TempDir()) +
-                             "vtsim-fabric-" + tag + "-" +
-                             std::to_string(::getpid());
+    const std::string path = test::uniqueTempPath(tag);
     std::filesystem::create_directories(path);
     return path;
 }

@@ -35,12 +35,6 @@ traceConfig()
     return cfg;
 }
 
-std::string
-tempPath(const std::string &stem)
-{
-    return testing::TempDir() + stem;
-}
-
 KernelStats
 launchOn(Gpu &gpu, const std::string &name)
 {
@@ -101,7 +95,7 @@ TEST_P(MtraceRoundTrip, ReplayReproducesMemoryStats)
     for (const bool vt : {false, true}) {
         cfg.vtEnabled = vt;
         const std::string tag = wl + (vt ? "/vt" : "/baseline");
-        const std::string trace = tempPath("mtr_" + wl +
+        const std::string trace = test::uniqueTempPath("mtr_" + wl +
                                            (vt ? "_vt" : "_base"));
 
         Gpu rec(cfg);
@@ -135,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(Workloads, MtraceRoundTrip,
 
 TEST(Mtrace, HeaderAndMarkersRecorded)
 {
-    const std::string trace = tempPath("mtr_markers");
+    const std::string trace = test::uniqueTempPath("mtr_markers");
     GpuConfig cfg = traceConfig();
     Gpu gpu(cfg);
     gpu.enableMtraceRecord(trace);
@@ -163,7 +157,7 @@ TEST(Mtrace, HeaderAndMarkersRecorded)
 
 TEST(Mtrace, RecordForcesSequentialSimulation)
 {
-    const std::string trace = tempPath("mtr_seq");
+    const std::string trace = test::uniqueTempPath("mtr_seq");
     GpuConfig cfg = traceConfig();
     Gpu gpu(cfg);
     gpu.setSimThreads(4); // Record must override this to 1.
@@ -182,7 +176,7 @@ TEST(Mtrace, RecordForcesSequentialSimulation)
 
 TEST(Mtrace, RecordAndReplayAreExclusive)
 {
-    const std::string trace = tempPath("mtr_excl");
+    const std::string trace = test::uniqueTempPath("mtr_excl");
     GpuConfig cfg = traceConfig();
     {
         Gpu gpu(cfg);
@@ -190,7 +184,7 @@ TEST(Mtrace, RecordAndReplayAreExclusive)
         launchOn(gpu, "vecadd");
     }
     Gpu gpu(cfg);
-    gpu.enableMtraceRecord(tempPath("mtr_excl_out"));
+    gpu.enableMtraceRecord(test::uniqueTempPath("mtr_excl_out"));
     EXPECT_THROW(gpu.replayTrace(trace), FatalError);
     std::remove(trace.c_str());
 }
@@ -199,8 +193,8 @@ TEST(Mtrace, RecordRejectsCheckpointCadence)
 {
     GpuConfig cfg = traceConfig();
     Gpu gpu(cfg);
-    gpu.setCheckpoint(tempPath("mtr_cadence_ckpt"), 100);
-    gpu.enableMtraceRecord(tempPath("mtr_cadence"));
+    gpu.setCheckpoint(test::uniqueTempPath("mtr_cadence_ckpt"), 100);
+    gpu.enableMtraceRecord(test::uniqueTempPath("mtr_cadence"));
     auto wl = makeWorkload("vecadd", 0);
     const Kernel k = wl->buildKernel();
     const LaunchParams lp = wl->prepare(gpu.memory());
@@ -209,7 +203,7 @@ TEST(Mtrace, RecordRejectsCheckpointCadence)
 
 TEST(Mtrace, ReplayRejectsWrongMachineShape)
 {
-    const std::string trace = tempPath("mtr_shape");
+    const std::string trace = test::uniqueTempPath("mtr_shape");
     GpuConfig cfg = traceConfig();
     {
         Gpu gpu(cfg);
@@ -230,8 +224,8 @@ TEST(Mtrace, ReplayRejectsWrongMachineShape)
 TEST(Mtrace, FunctionalCheckpointRefusesReplayResume)
 {
     GpuConfig cfg = traceConfig();
-    const std::string trace = tempPath("mtr_mode_trace");
-    const std::string ckpt = tempPath("mtr_mode_func_ckpt");
+    const std::string trace = test::uniqueTempPath("mtr_mode_trace");
+    const std::string ckpt = test::uniqueTempPath("mtr_mode_func_ckpt");
     {
         Gpu gpu(cfg);
         gpu.enableMtraceRecord(trace);
@@ -253,8 +247,8 @@ TEST(Mtrace, FunctionalCheckpointRefusesReplayResume)
 TEST(Mtrace, ReplayCheckpointRefusesFunctionalResume)
 {
     GpuConfig cfg = traceConfig();
-    const std::string trace = tempPath("mtr_rmode_trace");
-    const std::string ckpt = tempPath("mtr_rmode_ckpt");
+    const std::string trace = test::uniqueTempPath("mtr_rmode_trace");
+    const std::string ckpt = test::uniqueTempPath("mtr_rmode_ckpt");
     {
         Gpu gpu(cfg);
         gpu.enableMtraceRecord(trace);
@@ -277,8 +271,8 @@ TEST(Mtrace, ReplayCheckpointRefusesFunctionalResume)
 TEST(Mtrace, ReplayResumesFromCheckpointBitIdentically)
 {
     GpuConfig cfg = traceConfig();
-    const std::string trace = tempPath("mtr_resume_trace");
-    const std::string ckpt = tempPath("mtr_resume_ckpt");
+    const std::string trace = test::uniqueTempPath("mtr_resume_trace");
+    const std::string ckpt = test::uniqueTempPath("mtr_resume_ckpt");
     {
         Gpu gpu(cfg);
         gpu.enableMtraceRecord(trace);
@@ -312,7 +306,7 @@ class MtraceMalformed : public ::testing::Test
   protected:
     void SetUp() override
     {
-        trace_ = tempPath("mtr_malformed");
+        trace_ = test::uniqueTempPath("mtr_malformed");
         GpuConfig cfg = traceConfig();
         Gpu gpu(cfg);
         gpu.enableMtraceRecord(trace_);

@@ -25,6 +25,7 @@
 #include "service/protocol.hh"
 #include "service/service.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 namespace vtsim {
 namespace {
@@ -108,12 +109,6 @@ spinUntilStarted(JobService &service, service::JobId id)
             << "job " << id << " never started";
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-}
-
-std::string
-tempSpool(const std::string &tag)
-{
-    return std::string(::testing::TempDir()) + "vtsim-spool-" + tag;
 }
 
 // --------------------------------------------------------------------
@@ -247,7 +242,7 @@ TEST(JobService, SubmitRejectsUnknownWorkload)
 {
     ServiceConfig config;
     config.workers = 1;
-    config.spoolDir = tempSpool("unknown");
+    config.spoolDir = test::uniqueTempPath("unknown");
     JobService service(config);
 
     JobSpec bad;
@@ -272,7 +267,7 @@ TEST(JobService, ShardedJobMatchesSequentialAndRespectsLimit)
     ServiceConfig config;
     config.workers = 1;
     config.maxSimThreads = 2;
-    config.spoolDir = tempSpool("sharded");
+    config.spoolDir = test::uniqueTempPath("sharded");
     JobService service(config);
 
     // Beyond the daemon-side bound: rejected at submit, not clamped.
@@ -307,7 +302,7 @@ TEST(JobService, QueueFullRejectionAndBackpressure)
     config.workers = 1;
     config.queueLimit = 1;
     config.preemptEvery = 0; // Non-preemptible: the worker stays busy.
-    config.spoolDir = tempSpool("full");
+    config.spoolDir = test::uniqueTempPath("full");
     JobService service(config);
 
     JobSpec longJob;
@@ -339,7 +334,7 @@ TEST(JobService, PreemptedJobResumesBitIdentically)
     ServiceConfig config;
     config.workers = 1;
     config.preemptEvery = 500; // Frequent preemption points.
-    config.spoolDir = tempSpool("preempt");
+    config.spoolDir = test::uniqueTempPath("preempt");
     JobService service(config);
 
     JobSpec longJob;
@@ -408,7 +403,7 @@ TEST(JobService, MultiKernelJobReportsPerGridStats)
     ServiceConfig config;
     config.workers = 1;
     config.preemptEvery = 0; // Uninterrupted oracle comparison.
-    config.spoolDir = tempSpool("multikernel");
+    config.spoolDir = test::uniqueTempPath("multikernel");
     JobService service(config);
 
     JobSpec spec;
@@ -439,7 +434,7 @@ TEST(JobService, MultiKernelPreemptedJobResumesBitIdentically)
     ServiceConfig config;
     config.workers = 1;
     config.preemptEvery = 500;
-    config.spoolDir = tempSpool("multipreempt");
+    config.spoolDir = test::uniqueTempPath("multipreempt");
     JobService service(config);
 
     JobSpec longJob;
@@ -472,7 +467,7 @@ TEST(JobService, MultiKernelSubmitValidation)
 {
     ServiceConfig config;
     config.workers = 1;
-    config.spoolDir = tempSpool("multivalidate");
+    config.spoolDir = test::uniqueTempPath("multivalidate");
     JobService service(config);
 
     // Beyond the grid limit.
@@ -488,7 +483,7 @@ TEST(JobService, MultiKernelSubmitValidation)
     JobSpec rec;
     rec.kernels = {"vecadd", "bfs"};
     rec.workload = "vecadd";
-    rec.recordTrace = tempSpool("multivalidate") + "-trace.bin";
+    rec.recordTrace = test::uniqueTempPath("multivalidate") + "-trace.bin";
     const auto rec_rejected = service.submit(rec, Priority::Normal);
     EXPECT_FALSE(rec_rejected.ok());
     EXPECT_NE(rec_rejected.error.find("concurrent"), std::string::npos)
@@ -527,7 +522,7 @@ TEST(JobService, CrashedJobRetriesFromCheckpoint)
 
     ServiceConfig config;
     config.workers = 1;
-    config.spoolDir = tempSpool("retry-ckpt");
+    config.spoolDir = test::uniqueTempPath("retry-ckpt");
     JobService service(config);
 
     JobSpec spec;
@@ -556,7 +551,7 @@ TEST(JobService, CrashedJobWithoutCheckpointRetriesFromScratch)
 
     ServiceConfig config;
     config.workers = 1;
-    config.spoolDir = tempSpool("retry-scratch");
+    config.spoolDir = test::uniqueTempPath("retry-scratch");
     JobService service(config);
 
     JobSpec spec;
@@ -581,7 +576,7 @@ TEST(JobService, SecondCrashIsTerminal)
 {
     ServiceConfig config;
     config.workers = 1;
-    config.spoolDir = tempSpool("exhausted");
+    config.spoolDir = test::uniqueTempPath("exhausted");
     JobService service(config);
 
     JobSpec spec;
@@ -604,7 +599,7 @@ TEST(JobService, CancelQueuedButNotRunning)
     ServiceConfig config;
     config.workers = 1;
     config.preemptEvery = 0;
-    config.spoolDir = tempSpool("cancel");
+    config.spoolDir = test::uniqueTempPath("cancel");
     JobService service(config);
 
     JobSpec longJob;
@@ -634,7 +629,7 @@ TEST(JobService, TelemetryAndCompletedRuns)
 {
     ServiceConfig config;
     config.workers = 2;
-    config.spoolDir = tempSpool("telemetry");
+    config.spoolDir = test::uniqueTempPath("telemetry");
     JobService service(config);
 
     JobSpec tiny;
@@ -683,7 +678,7 @@ TEST(JobService, MetricsTextExportsServiceRegistry)
 {
     ServiceConfig config;
     config.workers = 1;
-    config.spoolDir = tempSpool("metrics");
+    config.spoolDir = test::uniqueTempPath("metrics");
     JobService service(config);
 
     JobSpec tiny;
@@ -736,10 +731,9 @@ class DaemonTest : public ::testing::Test
     {
         config_.workers = 1;
         config_.queueLimit = 8;
-        config_.spoolDir = tempSpool("daemon");
+        config_.spoolDir = test::uniqueTempPath("daemon");
         service_ = std::make_unique<JobService>(config_);
-        socket_ = std::string(::testing::TempDir()) + "vtsimd-test-" +
-                  std::to_string(::getpid()) + ".sock";
+        socket_ = test::uniqueTempPath("vtsimd.sock");
         daemon_ = std::make_unique<Daemon>(*service_, socket_);
         daemon_->start();
         serveThread_ = std::thread([this] { daemon_->serve(); });

@@ -101,12 +101,6 @@ launchOn(Gpu &gpu, const std::string &name)
 }
 
 std::string
-tempPath(const std::string &stem)
-{
-    return testing::TempDir() + stem;
-}
-
-std::string
 readFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
@@ -128,7 +122,7 @@ RunOutputs
 runInstrumented(const GpuConfig &cfg, const std::string &workload,
                 unsigned sim_threads, const std::string &tag)
 {
-    const std::string ckpt = tempPath("sharded_" + tag);
+    const std::string ckpt = test::uniqueTempPath("sharded_" + tag);
     std::ostringstream series;
     Gpu gpu(cfg);
     gpu.setSimThreads(sim_threads);
@@ -225,9 +219,9 @@ TEST(ShardedSim, CheckpointRestoreEquivalence)
 {
     GpuConfig cfg = shardConfig();
     cfg.vtEnabled = true;
-    const std::string mid = tempPath("sharded_mid");
-    const std::string end_a = tempPath("sharded_end_a");
-    const std::string end_b = tempPath("sharded_end_b");
+    const std::string mid = test::uniqueTempPath("sharded_mid");
+    const std::string end_a = test::uniqueTempPath("sharded_end_a");
+    const std::string end_b = test::uniqueTempPath("sharded_end_b");
 
     // Sequential uninterrupted reference with a final-state checkpoint.
     Gpu ref(cfg);

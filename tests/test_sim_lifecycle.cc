@@ -65,12 +65,6 @@ launchOn(Gpu &gpu, const std::string &name)
 }
 
 std::string
-tempPath(const std::string &stem)
-{
-    return testing::TempDir() + stem;
-}
-
-std::string
 readFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
@@ -151,9 +145,9 @@ TEST(Checkpoint, RestoreResumesBitIdentically)
     for (const bool vt : {false, true}) {
         cfg.vtEnabled = vt;
         const std::string tag = vt ? "vt" : "baseline";
-        const std::string mid_path = tempPath("ckpt_mid_" + tag);
-        const std::string end_a = tempPath("ckpt_end_a_" + tag);
-        const std::string end_b = tempPath("ckpt_end_b_" + tag);
+        const std::string mid_path = test::uniqueTempPath("ckpt_mid_" + tag);
+        const std::string end_a = test::uniqueTempPath("ckpt_end_a_" + tag);
+        const std::string end_b = test::uniqueTempPath("ckpt_end_b_" + tag);
 
         // Calibrate boundaries to the workload's actual length.
         Gpu probe(cfg);
@@ -218,7 +212,7 @@ TEST(Checkpoint, RestoreResumesBitIdentically)
 TEST(Checkpoint, RejectsMismatchedConfigAndKernel)
 {
     GpuConfig cfg = smallConfig();
-    const std::string path = tempPath("ckpt_guard");
+    const std::string path = test::uniqueTempPath("ckpt_guard");
     {
         Gpu gpu(cfg);
         gpu.setCheckpoint(path, 0);
@@ -241,7 +235,7 @@ TEST(Checkpoint, RejectsMismatchedConfigAndKernel)
 
 TEST(Checkpoint, RejectsGarbageFiles)
 {
-    const std::string path = tempPath("ckpt_garbage");
+    const std::string path = test::uniqueTempPath("ckpt_garbage");
     {
         std::ofstream out(path, std::ios::binary);
         out << "this is not a checkpoint";

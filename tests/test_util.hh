@@ -6,7 +6,12 @@
 #ifndef VTSIM_TESTS_TEST_UTIL_HH
 #define VTSIM_TESTS_TEST_UTIL_HH
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <string>
+
+#include <gtest/gtest.h>
 
 #include "config/gpu_config.hh"
 #include "gpu/gpu.hh"
@@ -14,6 +19,27 @@
 #include "isa/kernel_builder.hh"
 
 namespace vtsim::test {
+
+/**
+ * A scratch path private to the running test: TempDir() +
+ * "<suite>.<test>-<pid>-<stem>". ctest runs every test case as its own
+ * process, in parallel under -j, so a path shared between cases (or
+ * between two concurrent runs of the suite) lets one case delete or
+ * overwrite another's file.
+ */
+inline std::string
+uniqueTempPath(const std::string &stem)
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = info ? std::string(info->test_suite_name()) + "." +
+                                  info->name()
+                            : "global";
+    // Parameterized names carry '/', which must not split the path.
+    std::replace(name.begin(), name.end(), '/', '_');
+    return ::testing::TempDir() + name + "-" + std::to_string(::getpid()) +
+           "-" + stem;
+}
 
 /** A small but multi-SM config for fast integration tests. */
 inline GpuConfig

@@ -14,7 +14,9 @@
 namespace vtsim {
 namespace {
 
-/** Scriptable CTA observations. */
+/** Scriptable CTA observations. Like SmCore, the mock reports every
+ *  zero/non-zero flip of a CTA's off-chip total to the attached manager,
+ *  so the manager's cached swap-in readiness stays exact. */
 class MockQuery : public VtCtaQuery
 {
   public:
@@ -22,8 +24,9 @@ class MockQuery : public VtCtaQuery
     {
         bool fullyStalled = false;
         bool longStalled = false;
-        std::uint32_t pendingOffChip = 0;
     };
+
+    void attach(VirtualThreadManager &mgr) { mgr_ = &mgr; }
 
     bool
     ctaFullyStalled(VirtualCtaId id) const override
@@ -40,13 +43,26 @@ class MockQuery : public VtCtaQuery
     std::uint32_t
     ctaPendingOffChip(VirtualCtaId id) const override
     {
-        return obs_.at(id).pendingOffChip;
+        const auto it = pending_.find(id);
+        return it == pending_.end() ? 0 : it->second;
+    }
+
+    /** Set resident CTA @p id's outstanding off-chip transactions. */
+    void
+    setPending(VirtualCtaId id, std::uint32_t n)
+    {
+        const bool was_ready = ctaPendingOffChip(id) == 0;
+        pending_[id] = n;
+        if (mgr_ && was_ready != (n == 0))
+            mgr_->onCtaReadinessChanged(id, n == 0);
     }
 
     CtaObs &operator[](VirtualCtaId id) { return obs_[id]; }
 
   private:
     std::map<VirtualCtaId, CtaObs> obs_;
+    std::map<VirtualCtaId, std::uint32_t> pending_;
+    VirtualThreadManager *mgr_ = nullptr;
 };
 
 /** Small machine: 2 CTA slots, 8 warp slots, capacity for ~6 CTAs. */
@@ -83,7 +99,7 @@ stall(MockQuery &q, VirtualCtaId id, std::uint32_t pending = 2)
 {
     q[id].fullyStalled = true;
     q[id].longStalled = true;
-    q[id].pendingOffChip = pending;
+    q.setPending(id, pending);
 }
 
 class VtManagerTest : public ::testing::Test
@@ -91,6 +107,7 @@ class VtManagerTest : public ::testing::Test
   protected:
     VtManagerTest() : cfg_(vtConfig()), mgr_(cfg_, query_, 0)
     {
+        query_.attach(mgr_);
         mgr_.configureKernel(footprint());
     }
 
@@ -190,7 +207,7 @@ TEST_F(VtManagerTest, NoSwapWithoutReadyCandidate)
         mgr_.onAdmit(id, 0);
     }
     stall(query_, 0);
-    query_[2].pendingOffChip = 4; // the only inactive CTA is not ready
+    query_.setPending(2, 4); // the only inactive CTA is not ready
     for (Cycle c = 1; c < 10; ++c)
         mgr_.tick(c);
     EXPECT_EQ(mgr_.swapOuts(), 0u);
@@ -203,13 +220,14 @@ TEST_F(VtManagerTest, OldestFirstIgnoresReadiness)
     cfg.vtSwapInPolicy = VtSwapInPolicy::OldestFirst;
     MockQuery q;
     VirtualThreadManager mgr(cfg, q, 0);
+    q.attach(mgr);
     mgr.configureKernel(footprint());
     for (VirtualCtaId id = 0; id < 3; ++id) {
         q[id] = {};
         mgr.onAdmit(id, 0);
     }
     stall(q, 0);
-    q[2].pendingOffChip = 4; // not ready, but OldestFirst takes it anyway
+    q.setPending(2, 4); // not ready, but OldestFirst takes it anyway
     mgr.tick(1);
     mgr.tick(2);
     mgr.tick(3);
@@ -293,7 +311,7 @@ TEST_F(VtManagerTest, SwappedCtaPaysRestoreLatencyAfterFinish)
     mgr_.tick(3);
     query_[0].fullyStalled = false;
     query_[0].longStalled = false;
-    query_[0].pendingOffChip = 0;
+    query_.setPending(0, 0);
     mgr_.tick(20); // transitions settle
     EXPECT_EQ(mgr_.state(0), CtaState::Inactive);
     // CTA 1 finishes: 0 comes back but must restore its state.
@@ -316,9 +334,10 @@ TEST_F(VtManagerTest, SlotAccountingStaysWithinLimits)
             const bool st = ((c + id) % 7) < 3;
             query_[id].fullyStalled = st;
             query_[id].longStalled = st;
-            query_[id].pendingOffChip = st ? 1 : 0;
+            query_.setPending(id, st ? 1 : 0);
         }
         mgr_.tick(c);
+        mgr_.verifyDerivedState();
         EXPECT_LE(mgr_.activeCtas(), 2u);
         EXPECT_LE(mgr_.warpsActive(), 8u);
         EXPECT_LE(mgr_.threadsActive(), 256u);
@@ -338,6 +357,48 @@ TEST_F(VtManagerTest, OnePairPerCycle)
     EXPECT_EQ(mgr_.swapOuts(), 1u);
     mgr_.tick(3);
     EXPECT_EQ(mgr_.swapOuts(), 2u);
+}
+
+TEST_F(VtManagerTest, ReadinessFlipReachesWaitingVictim)
+{
+    for (VirtualCtaId id = 0; id < 4; ++id) {
+        query_[id] = {};
+        mgr_.onAdmit(id, 0);
+    }
+    stall(query_, 0);
+    query_.setPending(2, 3); // both inactive CTAs still await data
+    query_.setPending(3, 1);
+    for (Cycle c = 1; c <= 4; ++c) {
+        mgr_.tick(c);
+        mgr_.verifyDerivedState();
+    }
+    // The victim is armed, but nobody is ready to run instead: only the
+    // readiness notification can wake the manager.
+    EXPECT_EQ(mgr_.swapOuts(), 0u);
+    EXPECT_EQ(mgr_.nextEventCycle(5), neverCycle);
+
+    // CTA 3 (the younger) turns ready; a flip back on CTA 2's side
+    // changes nothing. The swap is due at the very next tick and brings
+    // in the ready CTA, not the older waiting one.
+    query_.setPending(3, 0);
+    query_.setPending(2, 5);
+    mgr_.verifyDerivedState();
+    EXPECT_EQ(mgr_.nextEventCycle(5), 5u);
+    mgr_.tick(5);
+    mgr_.verifyDerivedState();
+    EXPECT_EQ(mgr_.swapOuts(), 1u);
+    EXPECT_EQ(mgr_.state(0), CtaState::SwappingOut);
+    EXPECT_EQ(mgr_.state(3), CtaState::SwappingIn);
+    EXPECT_EQ(mgr_.state(2), CtaState::Inactive);
+
+    // CTA 3 loses readiness while swapping in: no effect on the pair,
+    // and the notification for a non-inactive CTA keeps the lists exact.
+    query_.setPending(3, 2);
+    mgr_.verifyDerivedState();
+    mgr_.tick(15);
+    mgr_.verifyDerivedState();
+    EXPECT_EQ(mgr_.state(3), CtaState::Active);
+    EXPECT_EQ(mgr_.state(0), CtaState::Inactive);
 }
 
 TEST_F(VtManagerTest, StateQueriesValidate)
