@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "golden.hh"
 #include "gpu/gpu.hh"
 #include "test_util.hh"
 #include "workloads/workload.hh"
@@ -22,32 +23,7 @@
 namespace vtsim {
 namespace {
 
-/** Every field of KernelStats, bit for bit. */
-void
-expectIdenticalStats(const KernelStats &a, const KernelStats &b,
-                     const std::string &context)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << context;
-    EXPECT_EQ(a.warpInstructions, b.warpInstructions) << context;
-    EXPECT_EQ(a.threadInstructions, b.threadInstructions) << context;
-    EXPECT_EQ(a.ctasCompleted, b.ctasCompleted) << context;
-    EXPECT_EQ(a.ipc, b.ipc) << context;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << context;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << context;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << context;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << context;
-    EXPECT_EQ(a.dramRowHits, b.dramRowHits) << context;
-    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses) << context;
-    EXPECT_EQ(a.dramBytes, b.dramBytes) << context;
-    EXPECT_EQ(a.swapOuts, b.swapOuts) << context;
-    EXPECT_EQ(a.swapIns, b.swapIns) << context;
-    EXPECT_EQ(a.stalls.issued, b.stalls.issued) << context;
-    EXPECT_EQ(a.stalls.memStall, b.stalls.memStall) << context;
-    EXPECT_EQ(a.stalls.shortStall, b.stalls.shortStall) << context;
-    EXPECT_EQ(a.stalls.barrierStall, b.stalls.barrierStall) << context;
-    EXPECT_EQ(a.stalls.swapStall, b.stalls.swapStall) << context;
-    EXPECT_EQ(a.stalls.idle, b.stalls.idle) << context;
-}
+using test::expectIdenticalStats;
 
 void
 expectIdenticalGridStats(const std::vector<GridStats> &a,
@@ -160,6 +136,13 @@ TEST(Concurrent, SingleGridBitIdenticalToLaunch)
             expectIdenticalStats(classic, solo.aggregate, tag);
         }
     }
+}
+
+/** The EXT-7 mixes under every share policy reproduce the golden
+ *  manifest: aggregate and per-grid stats and the interval series. */
+TEST(Concurrent, MixesMatchGoldenManifest)
+{
+    golden::expectGoldenPrefix("corun/");
 }
 
 // ---------------------------------------------------------------------------

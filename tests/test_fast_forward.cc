@@ -20,34 +20,8 @@
 namespace vtsim {
 namespace {
 
+using test::expectIdenticalStats;
 using test::smallConfig;
-
-/** Every field of KernelStats, bit for bit. */
-void
-expectIdenticalStats(const KernelStats &a, const KernelStats &b,
-                     const std::string &context)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << context;
-    EXPECT_EQ(a.warpInstructions, b.warpInstructions) << context;
-    EXPECT_EQ(a.threadInstructions, b.threadInstructions) << context;
-    EXPECT_EQ(a.ctasCompleted, b.ctasCompleted) << context;
-    EXPECT_EQ(a.ipc, b.ipc) << context;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << context;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << context;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << context;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << context;
-    EXPECT_EQ(a.dramRowHits, b.dramRowHits) << context;
-    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses) << context;
-    EXPECT_EQ(a.dramBytes, b.dramBytes) << context;
-    EXPECT_EQ(a.swapOuts, b.swapOuts) << context;
-    EXPECT_EQ(a.swapIns, b.swapIns) << context;
-    EXPECT_EQ(a.stalls.issued, b.stalls.issued) << context;
-    EXPECT_EQ(a.stalls.memStall, b.stalls.memStall) << context;
-    EXPECT_EQ(a.stalls.shortStall, b.stalls.shortStall) << context;
-    EXPECT_EQ(a.stalls.barrierStall, b.stalls.barrierStall) << context;
-    EXPECT_EQ(a.stalls.swapStall, b.stalls.swapStall) << context;
-    EXPECT_EQ(a.stalls.idle, b.stalls.idle) << context;
-}
 
 /** Run @p name on @p cfg; optionally report the fast-forwarded cycles. */
 KernelStats

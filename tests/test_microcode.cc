@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "golden.hh"
 #include "gpu/gpu.hh"
 #include "test_util.hh"
 #include "workloads/workload.hh"
@@ -68,35 +70,12 @@ runWith(GpuConfig cfg, const std::string &workload, bool microcode)
     return stats;
 }
 
-/** Every field of KernelStats, bit for bit. */
-void
-expectIdenticalStats(const KernelStats &a, const KernelStats &b,
-                     const std::string &context)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << context;
-    EXPECT_EQ(a.warpInstructions, b.warpInstructions) << context;
-    EXPECT_EQ(a.threadInstructions, b.threadInstructions) << context;
-    EXPECT_EQ(a.ctasCompleted, b.ctasCompleted) << context;
-    EXPECT_EQ(a.ipc, b.ipc) << context;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << context;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << context;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << context;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << context;
-    EXPECT_EQ(a.dramRowHits, b.dramRowHits) << context;
-    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses) << context;
-    EXPECT_EQ(a.dramBytes, b.dramBytes) << context;
-    EXPECT_EQ(a.swapOuts, b.swapOuts) << context;
-    EXPECT_EQ(a.swapIns, b.swapIns) << context;
-    EXPECT_EQ(a.stalls.issued, b.stalls.issued) << context;
-    EXPECT_EQ(a.stalls.memStall, b.stalls.memStall) << context;
-    EXPECT_EQ(a.stalls.shortStall, b.stalls.shortStall) << context;
-    EXPECT_EQ(a.stalls.barrierStall, b.stalls.barrierStall) << context;
-    EXPECT_EQ(a.stalls.swapStall, b.stalls.swapStall) << context;
-    EXPECT_EQ(a.stalls.idle, b.stalls.idle) << context;
-}
+using test::expectIdenticalStats;
 
 /** Workload x machine grid: every VASM benchmark kernel in the suite
- *  under all three machine shapes. */
+ *  under all three machine shapes, Fermi- and Kepler-class, plus the
+ *  scale-1 VT run, looked up in the golden manifest (blessed with both
+ *  interpreters, which gave byte-identical manifests). */
 class MicrocodeBitIdentity
     : public ::testing::TestWithParam<std::tuple<std::string, Machine>>
 {};
@@ -104,11 +83,11 @@ class MicrocodeBitIdentity
 TEST_P(MicrocodeBitIdentity, MatchesLegacyInterpreter)
 {
     const auto &[workload, machine] = GetParam();
-    const std::string context = workload + "/" + toString(machine);
-    const GpuConfig cfg = machineConfig(machine);
-    const KernelStats micro = runWith(cfg, workload, true);
-    const KernelStats legacy = runWith(cfg, workload, false);
-    expectIdenticalStats(micro, legacy, context);
+    for (const char *arch : {"fermi", "kepler"})
+        golden::expectGolden(std::string(arch) + "/" + workload + "/" +
+                             toString(machine));
+    if (machine == Machine::Vt)
+        golden::expectGolden("vt8/" + workload);
 }
 
 std::string
@@ -147,6 +126,19 @@ TEST(Microcode, OracleCrossChecksBothPaths)
         // The oracle must observe without perturbing.
         expectIdenticalStats(oracle, plain, std::string(wl) + "/oracle");
     }
+}
+
+/** The committed manifest holds exactly the golden grid: no case is
+ *  missing and no stale line survives a change to the grid. */
+TEST(GoldenManifest, KeysMatchGrid)
+{
+    std::vector<std::string> grid;
+    for (const golden::Case &c : golden::cases())
+        grid.push_back(c.key);
+    std::sort(grid.begin(), grid.end());
+    EXPECT_EQ(golden::manifestKeys(), grid)
+        << "regenerate tests/golden/kernel_stats.txt with "
+           "scripts/bless_golden.sh";
 }
 
 } // namespace

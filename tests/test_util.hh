@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -39,6 +41,85 @@ uniqueTempPath(const std::string &stem)
     std::replace(name.begin(), name.end(), '/', '_');
     return ::testing::TempDir() + name + "-" + std::to_string(::getpid()) +
            "-" + stem;
+}
+
+/** Incremental 64-bit FNV-1a. */
+struct Fnv1a
+{
+    std::uint64_t h = 14695981039346656037ull;
+
+    void
+    mixByte(std::uint8_t b)
+    {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+
+    /** The eight bytes of @p v, least significant first. */
+    void
+    mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            mixByte((v >> (8 * i)) & 0xff);
+    }
+
+    void
+    mixBytes(const std::string &bytes)
+    {
+        for (const char c : bytes)
+            mixByte(static_cast<std::uint8_t>(c));
+    }
+};
+
+/** Mix every KernelStats field into @p fnv, ipc by its bit pattern. */
+inline void
+mixStats(Fnv1a &fnv, const KernelStats &s)
+{
+    for (const std::uint64_t v :
+         {std::uint64_t(s.cycles), s.warpInstructions, s.threadInstructions,
+          s.ctasCompleted, std::bit_cast<std::uint64_t>(s.ipc), s.l1Hits,
+          s.l1Misses, s.l2Hits, s.l2Misses, s.dramRowHits, s.dramRowMisses,
+          s.dramBytes, s.swapOuts, s.swapIns, s.stalls.issued,
+          s.stalls.memStall, s.stalls.shortStall, s.stalls.barrierStall,
+          s.stalls.swapStall, s.stalls.idle}) {
+        fnv.mix(v);
+    }
+}
+
+/** FNV-1a over every KernelStats field. */
+inline std::uint64_t
+statsDigest(const KernelStats &s)
+{
+    Fnv1a fnv;
+    mixStats(fnv, s);
+    return fnv.h;
+}
+
+/** Every field of KernelStats, bit for bit. */
+inline void
+expectIdenticalStats(const KernelStats &a, const KernelStats &b,
+                     const std::string &context)
+{
+    EXPECT_EQ(a.cycles, b.cycles) << context;
+    EXPECT_EQ(a.warpInstructions, b.warpInstructions) << context;
+    EXPECT_EQ(a.threadInstructions, b.threadInstructions) << context;
+    EXPECT_EQ(a.ctasCompleted, b.ctasCompleted) << context;
+    EXPECT_EQ(a.ipc, b.ipc) << context;
+    EXPECT_EQ(a.l1Hits, b.l1Hits) << context;
+    EXPECT_EQ(a.l1Misses, b.l1Misses) << context;
+    EXPECT_EQ(a.l2Hits, b.l2Hits) << context;
+    EXPECT_EQ(a.l2Misses, b.l2Misses) << context;
+    EXPECT_EQ(a.dramRowHits, b.dramRowHits) << context;
+    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses) << context;
+    EXPECT_EQ(a.dramBytes, b.dramBytes) << context;
+    EXPECT_EQ(a.swapOuts, b.swapOuts) << context;
+    EXPECT_EQ(a.swapIns, b.swapIns) << context;
+    EXPECT_EQ(a.stalls.issued, b.stalls.issued) << context;
+    EXPECT_EQ(a.stalls.memStall, b.stalls.memStall) << context;
+    EXPECT_EQ(a.stalls.shortStall, b.stalls.shortStall) << context;
+    EXPECT_EQ(a.stalls.barrierStall, b.stalls.barrierStall) << context;
+    EXPECT_EQ(a.stalls.swapStall, b.stalls.swapStall) << context;
+    EXPECT_EQ(a.stalls.idle, b.stalls.idle) << context;
 }
 
 /** A small but multi-SM config for fast integration tests. */

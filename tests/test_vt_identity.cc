@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "common/trace.hh"
+#include "golden.hh"
 #include "gpu/gpu.hh"
 #include "test_util.hh"
 #include "workloads/workload.hh"
@@ -42,28 +42,7 @@ vtMachine()
     return cfg;
 }
 
-/** FNV-1a over every KernelStats field, ipc by its bit pattern. */
-std::uint64_t
-statsDigest(const KernelStats &s)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    for (const std::uint64_t v :
-         {std::uint64_t(s.cycles), s.warpInstructions, s.threadInstructions,
-          s.ctasCompleted, std::bit_cast<std::uint64_t>(s.ipc), s.l1Hits,
-          s.l1Misses, s.l2Hits, s.l2Misses, s.dramRowHits, s.dramRowMisses,
-          s.dramBytes, s.swapOuts, s.swapIns, s.stalls.issued,
-          s.stalls.memStall, s.stalls.shortStall, s.stalls.barrierStall,
-          s.stalls.swapStall, s.stalls.idle}) {
-        mix(v);
-    }
-    return h;
-}
+using test::statsDigest;
 
 KernelStats
 launchOn(Gpu &gpu, const std::string &name)
@@ -176,6 +155,13 @@ TEST(VtIdentity, CheckpointMidSwapResumesBitIdentically)
         EXPECT_TRUE(ref.checkpoint == readFile(end)) << name;
         std::remove(end.c_str());
     }
+}
+
+/** The final vtsim-ckpt-v1 images of the three kernels match the golden
+ *  manifest byte for byte, which pins the checkpoint format. */
+TEST(VtIdentity, FinalCheckpointMatchesGoldenManifest)
+{
+    golden::expectGoldenPrefix("ckpt/");
 }
 
 // ---------------------------------------------------------------------------
