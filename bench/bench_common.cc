@@ -26,18 +26,6 @@ TelemetryOptions g_telemetry;
  *  error — "--sim-threads 0" or "--sim-threads banana" must not
  *  silently fall back to sequential (the same contract --jobs has in
  *  parallel_runner.cc). */
-/** Strictly parse an --exec value: "microcode" or "legacy". */
-std::string
-parseExecMode(const char *text)
-{
-    const std::string_view mode = text;
-    if (mode != "microcode" && mode != "legacy") {
-        VTSIM_FATAL("invalid --exec mode '", text,
-                    "' (expected 'microcode' or 'legacy')");
-    }
-    return std::string(mode);
-}
-
 unsigned
 parseSimThreads(const char *text, const char *origin)
 {
@@ -134,10 +122,6 @@ parseTelemetryArgs(int argc, char **argv)
         else if (arg.substr(0, 14) == "--sim-threads=")
             opts.simThreads = parseSimThreads(argv[i] + 14,
                                               "--sim-threads");
-        else if (arg == "--exec" && i + 1 < argc)
-            opts.execMode = parseExecMode(argv[++i]);
-        else if (arg.substr(0, 7) == "--exec=")
-            opts.execMode = parseExecMode(argv[i] + 7);
         else if (arg == "--record-trace" && i + 1 < argc)
             opts.recordTracePath = argv[++i];
         else if (arg.substr(0, 15) == "--record-trace=")
@@ -192,22 +176,11 @@ indexedPath(const std::string &path, std::size_t index)
     return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
-void
-applyExecMode(GpuConfig &config)
-{
-    if (g_telemetry.execMode == "legacy")
-        config.microcodeEnabled = false;
-    else if (g_telemetry.execMode == "microcode")
-        config.microcodeEnabled = true;
-}
-
 RunResult
 runWorkload(const std::string &workload_name, const GpuConfig &config,
             std::uint32_t scale, std::size_t run_index)
 {
-    GpuConfig effective = config;
-    applyExecMode(effective);
-    Gpu gpu(effective);
+    Gpu gpu(config);
     return runWorkloadOn(gpu, workload_name, scale, run_index);
 }
 

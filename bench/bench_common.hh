@@ -41,12 +41,6 @@ namespace vtsim::bench {
  *                             VTSIM_SIM_THREADS environment variable
  *                             (flag wins). Malformed values are a fatal
  *                             error, like --jobs/VTSIM_JOBS.
- *   --exec microcode|legacy   force the functional-execution path for
- *                             every run: the pre-decoded micro-op
- *                             stream (the default) or the legacy
- *                             per-lane interpreter. Bit-identical
- *                             results either way; the switch exists
- *                             for A/B speed runs (bench_microcode.py).
  *   --record-trace <path>     per-run vtsim-mtrace-v1 memory-access
  *                             trace of the post-coalescer stream (same
  *                             <stem>.N<ext> naming as --trace-json).
@@ -76,9 +70,6 @@ struct TelemetryOptions
     std::string restorePath;
     /** Shard workers per simulation; 0 = unset (sequential). */
     unsigned simThreads = 0;
-    /** Functional-execution override: "" (leave the config alone),
-     *  "microcode" or "legacy". */
-    std::string execMode;
     /** vtsim-mtrace-v1 output path (--record-trace); empty = off. */
     std::string recordTracePath;
     /** vtsim-mtrace-v1 input path (--replay-trace); empty = off. */
@@ -97,9 +88,6 @@ const TelemetryOptions &telemetryOptions();
 
 /** @p path with ".<index>" before the extension; bare for index 0. */
 std::string indexedPath(const std::string &path, std::size_t index);
-
-/** Apply the installed --exec override (if any) to @p config. */
-void applyExecMode(GpuConfig &config);
 
 /** Result of one simulated run. */
 struct RunResult

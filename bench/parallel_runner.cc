@@ -122,9 +122,7 @@ runAll(const std::vector<RunSpec> &specs, unsigned jobs)
                    i](service::GpuArena &arena, unsigned) {
                 const RunSpec &spec = specs[i];
                 try {
-                    GpuConfig config = spec.config;
-                    applyExecMode(config);
-                    Gpu &gpu = arena.acquire(config);
+                    Gpu &gpu = arena.acquire(spec.config);
                     if (spec.kernels.size() > 1) {
                         results[i] = runCoRunOn(gpu, spec.kernels,
                                                 spec.sharePolicy,
@@ -250,8 +248,6 @@ writeStatsJson(const std::string &path,
     }
     meta.wallMs = wall * 1e3;
     meta.simThreads = opts.simThreads;
-    if (!opts.execMode.empty())
-        meta.execMode = opts.execMode;
     std::uint64_t cycles = 0;
     std::uint64_t thread_instructions = 0;
     for (const RunResult &r : results) {

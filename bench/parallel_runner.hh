@@ -47,7 +47,7 @@ struct RunSpec
     /** Co-runners: when set (size > 1) the spec is one concurrent
      *  launch of these workloads (runCoRunOn) and `workload` is
      *  ignored. Grid g gets priority g. */
-    std::vector<std::string> kernels;
+    std::vector<std::string> kernels{};
     /** CTA-slot sharing policy of a co-run spec. */
     SharePolicy sharePolicy = SharePolicy::VtFill;
 };
@@ -79,7 +79,7 @@ std::vector<RunResult> runAll(const std::vector<RunSpec> &specs,
 
 /**
  * Write the batch as "vtsim-stats-v1" JSON: a batch header (host,
- * wall_ms = @p batchWallSeconds, sim-threads/exec-mode switches and
+ * wall_ms = @p batchWallSeconds, the sim-threads switch and
  * the aggregate [sim-rate] numbers), then one entry per run with the
  * workload, a config digest, verification flag, sim-rate numbers, the
  * full KernelStats and the interval series (when sampled). Pass 0 for

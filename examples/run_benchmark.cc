@@ -25,8 +25,6 @@
  *                           --checkpoint-every N)
  *     --restore PATH        resume a checkpointed run (same benchmark
  *                           and configuration flags as the original)
- *     --exec MODE           functional-execution path: microcode
- *                           (default) or legacy (bit-identical A/B)
  *     --record-trace PATH   write a vtsim-mtrace-v1 memory-access
  *                           trace of the run (forces sequential)
  *     --replay-trace PATH   drive the memory system from a recorded
@@ -65,7 +63,7 @@ usage()
                  "       [--bypass-l1] [--throttle] [--trace FLAGS]\n"
                  "       [--stats-interval N] [--trace-json PATH]\n"
                  "       [--checkpoint PATH] [--checkpoint-every N]\n"
-                 "       [--restore PATH] [--exec microcode|legacy]\n"
+                 "       [--restore PATH]\n"
                  "       [--record-trace PATH] [--replay-trace PATH]\n"
                  "       [--dump-stats] | --list\n"
                  "  trace flags: issue,mem,swap,cta,dram,barrier,all "
@@ -140,13 +138,11 @@ try {
             next_value(i);
         } else if (a.rfind("--sim-threads=", 0) == 0) {
             // Handled by parseTelemetryArgs.
-        } else if (a == "--exec" || a == "--record-trace" ||
-                   a == "--replay-trace") {
+        } else if (a == "--record-trace" || a == "--replay-trace") {
             // Validated below by parseTelemetryArgs (shared with the
             // figure binaries).
             next_value(i);
-        } else if (a.rfind("--exec=", 0) == 0 ||
-                   a.rfind("--record-trace=", 0) == 0 ||
+        } else if (a.rfind("--record-trace=", 0) == 0 ||
                    a.rfind("--replay-trace=", 0) == 0) {
             // Handled by parseTelemetryArgs.
         } else if (a == "--vt") {
@@ -198,14 +194,13 @@ try {
     // a malformed value aborts with a clear message instead of
     // silently falling back to one worker.
     const unsigned jobs = bench::resolveJobs(argc, argv);
-    // Same strict, shared resolution for --sim-threads, --exec and the
+    // Same strict, shared resolution for --sim-threads and the
     // memory-trace flags (record + replay together is a fatal error
     // inside parseTelemetryArgs).
     const bench::TelemetryOptions shared =
         bench::parseTelemetryArgs(argc, argv);
     const unsigned sim_threads = shared.simThreads;
     bench::setTelemetryOptions(shared);
-    bench::applyExecMode(cfg);
 
     // This binary's own --checkpoint/--restore flags join the shared
     // trace flags in one mode-matrix check (config/sim_mode.hh).

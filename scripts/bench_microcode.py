@@ -1,25 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark the functional-execution fast paths; emit BENCH_microcode.json.
+"""Benchmark functional execution against trace replay; emit BENCH_microcode.json.
 
 Runs a figure binary sequentially (--jobs 1) three ways:
 
-  legacy     --exec legacy     the per-instruction reference interpreter
-  microcode  --exec microcode  the pre-decoded micro-op interpreter
-                               (the default execution path)
-  replay     --replay-trace    the memory system driven from a recorded
-                               trace, skipping functional execution
+  microcode  (default)        the pre-decoded micro-op interpreter
+  record     --record-trace   the same, also writing memory traces
+  replay     --replay-trace   the memory system driven from the recorded
+                              traces, skipping functional execution
 
 Three things come out of that:
 
- 1. A regression gate: the legacy and microcode runs must have
-    identical statistics (micro-op lowering is bit-identical by
-    construction), and every replay run must reproduce the functional
-    run's cycle count and cache/DRAM counters exactly.
+ 1. A regression gate: recording must not perturb the statistics, and
+    every replay run must reproduce the functional run's cycle count
+    and cache/DRAM counters exactly.
  2. A trace check: every trace the record pass writes must validate
     with scripts/validate_mtrace.py.
  3. A throughput record: BENCH_microcode.json is the microcode-mode
     stats document extended with a "microcode" section holding wall
-    time, Kcyc/s and speedup-over-legacy per mode.
+    time and Kcyc/s per mode (microcode and replay).
 
 The output validates against ci/stats_schema.json (the script checks).
 
@@ -51,7 +49,7 @@ def run_figure(binary, stats_path, extra):
 
 
 def run_signature(run):
-    """Everything about a run that must not depend on the interpreter
+    """Everything about a run that must not depend on observation
     (host-timing fields excluded)."""
     return {
         key: value
@@ -74,15 +72,13 @@ def memory_signature(run):
     return {key: run["stats"][key] for key in MEMORY_COUNTERS}
 
 
-def mode_point(mode, runs, legacy_wall):
+def mode_point(mode, runs):
     wall = sum(r["wall_seconds"] for r in runs)
     cycles = sum(r["stats"]["cycles"] for r in runs)
     return {
         "mode": mode,
         "wall_seconds": round(wall, 6),
         "kcycles_per_sec": round(cycles / wall / 1e3, 3)
-        if wall > 0 else 0.0,
-        "speedup_vs_legacy": round(legacy_wall / wall, 3)
         if wall > 0 else 0.0,
     }
 
@@ -96,25 +92,12 @@ def main(argv):
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        legacy = run_figure(args.binary, tmp / "legacy.json",
-                            ["--exec", "legacy"])
-        print(f"[bench-microcode] legacy: {len(legacy['runs'])} runs")
-        micro = run_figure(args.binary, tmp / "micro.json",
-                           ["--exec", "microcode"])
+        micro = run_figure(args.binary, tmp / "micro.json", [])
         print(f"[bench-microcode] microcode: {len(micro['runs'])} runs")
-
-        if [run_signature(r) for r in micro["runs"]] != \
-                [run_signature(r) for r in legacy["runs"]]:
-            print("[bench-microcode] FAIL: the micro-op interpreter "
-                  "changed the statistics — it is supposed to be "
-                  "bit-identical to the legacy interpreter",
-                  file=sys.stderr)
-            return 1
 
         trace = tmp / "fig3.mtrace"
         recorded = run_figure(args.binary, tmp / "record.json",
-                              ["--exec", "microcode",
-                               "--record-trace", str(trace)])
+                              ["--record-trace", str(trace)])
         if [run_signature(r) for r in recorded["runs"]] != \
                 [run_signature(r) for r in micro["runs"]]:
             print("[bench-microcode] FAIL: recording a trace perturbed "
@@ -136,11 +119,9 @@ def main(argv):
                   file=sys.stderr)
             return 1
 
-    legacy_wall = sum(r["wall_seconds"] for r in legacy["runs"])
     modes = [
-        mode_point("legacy", legacy["runs"], legacy_wall),
-        mode_point("microcode", micro["runs"], legacy_wall),
-        mode_point("replay", replay["runs"], legacy_wall),
+        mode_point("microcode", micro["runs"]),
+        mode_point("replay", replay["runs"]),
     ]
 
     micro["microcode"] = {"modes": modes}
@@ -150,8 +131,7 @@ def main(argv):
     for p in modes:
         print(f"[bench-microcode] {p['mode']:<10s} "
               f"wall {p['wall_seconds']:.3f}s, "
-              f"{p['kcycles_per_sec']:.1f} Kcyc/s, "
-              f"{p['speedup_vs_legacy']:.2f}x vs legacy")
+              f"{p['kcycles_per_sec']:.1f} Kcyc/s")
 
     # The document must still be a valid vtsim-stats-v1 batch.
     return validate_stats_json.main(

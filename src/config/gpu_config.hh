@@ -159,16 +159,6 @@ struct GpuConfig
     bool fastForwardEnabled = true;
 
     /**
-     * Issue-path ready sets: maintain the per-scheduler set of
-     * hazard-free, barrier-free warps of Active CTAs incrementally at
-     * each warp state transition, so the per-cycle issue sweep visits
-     * only ready warps instead of every resident warp. Pure
-     * simulator-speed optimisation — every statistic is bit-identical
-     * with it on or off.
-     */
-    bool incrementalReadySets = true;
-
-    /**
      * Cross-check the incremental ready sets against a full warp scan
      * every busy cycle (expensive; always on in assert-enabled builds,
      * this flag forces it in release builds — used by the ready-set
@@ -193,25 +183,6 @@ struct GpuConfig
      * to localize any divergence (very expensive — test use only).
      */
     bool shardOracle = false;
-
-    /**
-     * Execute VASM through the pre-decoded micro-op stream (one direct
-     * handler call per issue, isa/microcode.hh) instead of the legacy
-     * per-lane opcode switch. Bit-identical results either way — the
-     * flag exists so the legacy interpreter stays exercisable as the
-     * micro path's reference.
-     */
-    bool microcodeEnabled = true;
-
-    /**
-     * Cross-check every micro-op execution against the legacy
-     * interpreter run on copy-on-write overlays: ExecResult, written
-     * registers, shared-memory and global-memory bytes must all match
-     * (always on in assert-enabled builds; this flag forces it in
-     * release builds — used by the microcode property tests). Ignored
-     * when microcodeEnabled is off.
-     */
-    bool microOracle = false;
 
     /** GTX480-class baseline used throughout the evaluation. */
     static GpuConfig fermiLike();

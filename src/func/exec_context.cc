@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <map>
 
 #include "common/log.hh"
 #include "func/global_memory.hh"
@@ -142,206 +141,13 @@ readSpecial(SpecialReg sreg, std::uint32_t thread, std::uint32_t lane,
     return 0;
 }
 
-/**
- * The legacy interpreter body, templated over the value-state and
- * global-memory types so the micro-op oracle can run it against
- * copy-on-write overlays (OracleState / OverlayGmem below) without
- * disturbing the real pre-state the micro path is about to consume.
- * The shipping execute() instantiates it with the real types.
- */
-template <typename State, typename GMem>
-ExecResult
-executeImpl(const Instruction &inst, std::uint32_t warp_in_cta,
-            ActiveMask mask, State &cta, GMem &gmem,
-            const LaunchParams &launch)
-{
-    ExecResult result;
-    const std::uint32_t base_thread = warp_in_cta * warpSize;
-
-    for (std::uint32_t lane = 0; lane < warpSize; ++lane) {
-        if (!mask.test(lane))
-            continue;
-        const std::uint32_t thread = base_thread + lane;
-        if (thread >= cta.threadsPerCta)
-            continue; // Partial tail warp: lanes beyond the CTA are dead.
-
-        auto rd = [&](int i) -> std::uint32_t {
-            return cta.readReg(thread, inst.src[i]);
-        };
-        // Second ALU operand: register or immediate.
-        auto rb = [&]() -> std::uint32_t {
-            return inst.useImm ? static_cast<std::uint32_t>(inst.imm)
-                               : rd(1);
-        };
-        auto wr = [&](std::uint32_t v) {
-            cta.writeReg(thread, inst.dst, v);
-        };
-
-        switch (inst.op) {
-          case Opcode::NOP:
-            break;
-          case Opcode::MOV: wr(rd(0)); break;
-          case Opcode::MOVI: wr(static_cast<std::uint32_t>(inst.imm)); break;
-          case Opcode::IADD: wr(rd(0) + rb()); break;
-          case Opcode::ISUB: wr(rd(0) - rb()); break;
-          case Opcode::IMUL: wr(rd(0) * rb()); break;
-          case Opcode::IMAD: wr(rd(0) * rd(1) + rd(2)); break;
-          case Opcode::IMIN: {
-            const auto a = static_cast<std::int32_t>(rd(0));
-            const auto b = static_cast<std::int32_t>(rb());
-            wr(static_cast<std::uint32_t>(a < b ? a : b));
-            break;
-          }
-          case Opcode::IMAX: {
-            const auto a = static_cast<std::int32_t>(rd(0));
-            const auto b = static_cast<std::int32_t>(rb());
-            wr(static_cast<std::uint32_t>(a > b ? a : b));
-            break;
-          }
-          case Opcode::AND: wr(rd(0) & rb()); break;
-          case Opcode::OR: wr(rd(0) | rb()); break;
-          case Opcode::XOR: wr(rd(0) ^ rb()); break;
-          case Opcode::NOT: wr(~rd(0)); break;
-          case Opcode::SHL: wr(rd(0) << (rb() & 31)); break;
-          case Opcode::SHR: wr(rd(0) >> (rb() & 31)); break;
-          case Opcode::ISETP:
-            wr(compare(inst.cmp, static_cast<std::int32_t>(rd(0)),
-                       static_cast<std::int32_t>(rb())) ? 1u : 0u);
-            break;
-          case Opcode::SEL: wr(rd(2) ? rd(0) : rd(1)); break;
-          case Opcode::FADD: wr(asBits(asFloat(rd(0)) + asFloat(rb())));
-            break;
-          case Opcode::FSUB: wr(asBits(asFloat(rd(0)) - asFloat(rb())));
-            break;
-          case Opcode::FMUL: wr(asBits(asFloat(rd(0)) * asFloat(rb())));
-            break;
-          case Opcode::FFMA:
-            wr(asBits(asFloat(rd(0)) * asFloat(rd(1)) + asFloat(rd(2))));
-            break;
-          case Opcode::FMIN:
-            wr(asBits(std::fmin(asFloat(rd(0)), asFloat(rb()))));
-            break;
-          case Opcode::FMAX:
-            wr(asBits(std::fmax(asFloat(rd(0)), asFloat(rb()))));
-            break;
-          case Opcode::FSETP:
-            wr(compareF(inst.cmp, asFloat(rd(0)),
-                        inst.useImm ? asFloat(static_cast<std::uint32_t>(
-                                          inst.imm))
-                                    : asFloat(rd(1))) ? 1u : 0u);
-            break;
-          case Opcode::I2F:
-            wr(asBits(static_cast<float>(static_cast<std::int32_t>(rd(0)))));
-            break;
-          case Opcode::F2I:
-            wr(static_cast<std::uint32_t>(
-                static_cast<std::int32_t>(asFloat(rd(0)))));
-            break;
-          case Opcode::IDIV: {
-            const auto a = static_cast<std::int32_t>(rd(0));
-            const auto b = static_cast<std::int32_t>(rb());
-            if (b == 0) {
-                wr(0u); // GPU semantics: no trap.
-            } else if (b == -1) {
-                // Defined even for INT_MIN (wraps), unlike C++.
-                wr(0u - rd(0));
-            } else {
-                wr(static_cast<std::uint32_t>(a / b));
-            }
-            break;
-          }
-          case Opcode::IREM: {
-            const auto a = static_cast<std::int32_t>(rd(0));
-            const auto b = static_cast<std::int32_t>(rb());
-            if (b == 0 || b == -1)
-                wr(0u); // rem by -1 is exactly 0; rem by 0 -> 0.
-            else
-                wr(static_cast<std::uint32_t>(a % b));
-            break;
-          }
-          case Opcode::FRCP: {
-            const float x = asFloat(rd(0));
-            wr(asBits(x != 0.0f ? 1.0f / x : 0.0f));
-            break;
-          }
-          case Opcode::FSQRT:
-            wr(asBits(std::sqrt(std::fmax(asFloat(rd(0)), 0.0f))));
-            break;
-          case Opcode::FEXP: wr(asBits(std::exp(asFloat(rd(0))))); break;
-          case Opcode::FLOG: {
-            const float x = asFloat(rd(0));
-            wr(asBits(x > 0.0f ? std::log(x) : 0.0f));
-            break;
-          }
-          case Opcode::S2R:
-            wr(readSpecial(inst.sreg, thread, lane, warp_in_cta, cta.ctaIdx,
-                           launch));
-            break;
-          case Opcode::LDP: {
-            const auto idx = static_cast<std::uint32_t>(inst.imm);
-            VTSIM_ASSERT(idx < launch.params.size(),
-                         "LDP index ", idx, " out of range");
-            wr(launch.params[idx]);
-            break;
-          }
-          case Opcode::LDG: {
-            const Addr addr = rd(0) + inst.imm;
-            const std::uint32_t v = gmem.read32(addr);
-            wr(v);
-            result.globalAccesses.push_back({lane, addr, 0, v});
-            break;
-          }
-          case Opcode::STG: {
-            const Addr addr = rd(0) + inst.imm;
-            gmem.write32(addr, rd(1));
-            result.globalAccesses.push_back({lane, addr, rd(1), 0});
-            break;
-          }
-          case Opcode::ATOMG_ADD: {
-            const Addr addr = rd(0) + inst.imm;
-            const std::uint32_t old = gmem.read32(addr);
-            gmem.write32(addr, old + rd(1));
-            wr(old);
-            result.globalAccesses.push_back({lane, addr, rd(1), old});
-            break;
-          }
-          case Opcode::LDS: {
-            const std::uint32_t addr = rd(0) + inst.imm;
-            wr(cta.readShared32(addr));
-            result.sharedAccesses.push_back({lane, addr});
-            break;
-          }
-          case Opcode::STS: {
-            const std::uint32_t addr = rd(0) + inst.imm;
-            cta.writeShared32(addr, rd(1));
-            result.sharedAccesses.push_back({lane, addr});
-            break;
-          }
-          case Opcode::BRA:
-            // Unconditional (no predicate) or predicate != 0 takes it.
-            if (inst.src[0] == noReg || rd(0) != 0)
-                result.branchTaken.set(lane);
-            break;
-          case Opcode::BAR:
-          case Opcode::EXIT:
-            break; // Handled entirely by the timing model.
-          default:
-            VTSIM_PANIC("unimplemented opcode ",
-                        static_cast<int>(inst.op));
-        }
-    }
-    return result;
-}
-
 // ---------------------------------------------------------------------
-// Micro-op handlers (the fast path).
+// Micro-op handlers.
 //
-// The legacy loop above is lane-outside / opcode-switch-inside; the
-// handlers invert that: buildMicroProgram resolves the switch once per
-// instruction at kernel load, so issue time is a single indirect call
-// with a tight active-lane loop inside. Every handler must reproduce
-// the legacy semantics bit-exactly — the oracle below checks that per
-// instruction in debug builds.
+// buildMicroProgram resolves the opcode switch once per instruction at
+// kernel load, so issue time is a single indirect call with a tight
+// active-lane loop inside. tests/test_micro_reference.cc checks every
+// handler against a per-lane opcode-switch reference interpreter.
 // ---------------------------------------------------------------------
 
 /** Visit every live lane: active in the mask and inside the CTA. The
@@ -544,8 +350,7 @@ hLdg(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t,
                       std::uint32_t *r) {
-        // 32-bit address arithmetic (wraps), then zero-extend — exactly
-        // the legacy rd(0) + inst.imm promotion.
+        // 32-bit address arithmetic (wraps), then zero-extend.
         const Addr addr = std::uint32_t(r[u.src0] + u.imm);
         const std::uint32_t v = ctx.gmem->read32(addr);
         r[u.dst] = v;
@@ -675,124 +480,7 @@ s2rFor(SpecialReg sreg)
     VTSIM_PANIC("bad special register ", static_cast<int>(sreg));
 }
 
-// --- Oracle overlays: run the legacy interpreter without touching the
-// real machine state. -------------------------------------------------
-
-/**
- * CtaFuncState view whose writes land in copy-on-write maps while
- * reads fall through to the real pre-state. Registers are per-thread,
- * so within one instruction a lane never reads another lane's write;
- * shared-memory writes are byte-granular so overlapping STS lanes
- * overwrite each other exactly as the real path does.
- */
-struct OracleState
-{
-    const CtaFuncState &base;
-    std::map<std::uint64_t, std::uint32_t> regWrites;
-    std::map<std::uint32_t, std::uint8_t> sharedWrites;
-    std::uint32_t threadsPerCta;
-    Dim3 ctaIdx;
-
-    explicit OracleState(const CtaFuncState &b)
-        : base(b), threadsPerCta(b.threadsPerCta), ctaIdx(b.ctaIdx)
-    {
-    }
-
-    static std::uint64_t
-    key(std::uint32_t thread, RegIndex reg)
-    {
-        return (std::uint64_t(thread) << 16) | reg;
-    }
-
-    std::uint32_t
-    readReg(std::uint32_t thread, RegIndex reg) const
-    {
-        const auto it = regWrites.find(key(thread, reg));
-        return it != regWrites.end() ? it->second
-                                     : base.readReg(thread, reg);
-    }
-
-    void
-    writeReg(std::uint32_t thread, RegIndex reg, std::uint32_t value)
-    {
-        regWrites[key(thread, reg)] = value;
-    }
-
-    std::uint8_t
-    sharedByte(std::uint32_t a) const
-    {
-        const auto it = sharedWrites.find(a);
-        if (it != sharedWrites.end())
-            return it->second;
-        return a < base.shared.size() ? base.shared[a] : 0;
-    }
-
-    std::uint32_t
-    readShared32(std::uint32_t byte_addr) const
-    {
-        std::uint32_t v = 0;
-        for (int i = 3; i >= 0; --i)
-            v = (v << 8) | sharedByte(byte_addr + i);
-        return v;
-    }
-
-    void
-    writeShared32(std::uint32_t byte_addr, std::uint32_t value)
-    {
-        // Out-of-bounds bytes are dropped, like the real path.
-        for (int i = 0; i < 4; ++i) {
-            const std::uint32_t a = byte_addr + i;
-            if (a < base.shared.size())
-                sharedWrites[a] = (value >> (8 * i)) & 0xff;
-        }
-    }
-};
-
-/**
- * GlobalMemory view with a byte-granular copy-on-write overlay, so a
- * same-address multi-lane ATOMG_ADD chain accumulates exactly. When
- * the real memory is in defer-writes mode (sharded epochs), the
- * overlay mirrors it — writes dropped, reads stale — because that is
- * exactly what the micro path observes there too.
- */
-struct OverlayGmem
-{
-    const GlobalMemory &base;
-    std::map<Addr, std::uint8_t> writes;
-
-    std::uint32_t
-    read32(Addr addr) const
-    {
-        if (base.deferWrites())
-            return base.read32(addr);
-        std::uint32_t v = 0;
-        for (int i = 3; i >= 0; --i) {
-            const Addr a = addr + i;
-            const auto it = writes.find(a);
-            v = (v << 8) |
-                (it != writes.end() ? it->second : base.read8(a));
-        }
-        return v;
-    }
-
-    void
-    write32(Addr addr, std::uint32_t value)
-    {
-        if (base.deferWrites())
-            return;
-        for (int i = 0; i < 4; ++i)
-            writes[addr + i] = (value >> (8 * i)) & 0xff;
-    }
-};
-
 } // namespace
-
-ExecResult
-execute(const Instruction &inst, std::uint32_t warp_in_cta, ActiveMask mask,
-        CtaFuncState &cta, GlobalMemory &gmem, const LaunchParams &launch)
-{
-    return executeImpl(inst, warp_in_cta, mask, cta, gmem, launch);
-}
 
 MicroProgram
 buildMicroProgram(const std::vector<Instruction> &instrs)
@@ -856,7 +544,6 @@ buildMicroProgram(const std::vector<Instruction> &instrs)
           case Opcode::STS: u.fn = &hSts; break;
           case Opcode::BRA:
             u.fn = inst.src[0] == noReg ? &hBraAll : &hBraCond;
-            u.target = inst.branchTarget;
             break;
           default:
             VTSIM_PANIC("buildMicroProgram: unimplemented opcode ",
@@ -891,60 +578,14 @@ executeMicroInto(const MicroProgram &prog, Pc pc,
     u.fn(u, ctx);
 }
 
-void
-executeMicroChecked(const MicroProgram &prog, const Instruction &inst,
-                    Pc pc, std::uint32_t warp_in_cta, ActiveMask mask,
-                    CtaFuncState &cta, GlobalMemory &gmem,
-                    const LaunchParams &launch, ExecResult &out)
+ExecResult
+execute(const Instruction &inst, std::uint32_t warp_in_cta, ActiveMask mask,
+        CtaFuncState &cta, GlobalMemory &gmem, const LaunchParams &launch)
 {
-    // Legacy first, against copy-on-write overlays, so the micro path
-    // below still consumes pristine pre-state.
-    OracleState oracle(cta);
-    OverlayGmem ogmem{gmem};
-    const ExecResult want =
-        executeImpl(inst, warp_in_cta, mask, oracle, ogmem, launch);
-
-    executeMicroInto(prog, pc, warp_in_cta, mask, cta, gmem, launch, out);
-
-    if (want.branchTaken != out.branchTaken ||
-        want.globalAccesses != out.globalAccesses ||
-        want.sharedAccesses != out.sharedAccesses) {
-        VTSIM_FATAL("micro-op oracle: ExecResult diverges at pc ", pc,
-                    " (", toString(inst.op), "): legacy taken ",
-                    want.branchTaken.toString(), " / ",
-                    want.globalAccesses.size(), " global / ",
-                    want.sharedAccesses.size(), " shared, micro taken ",
-                    out.branchTaken.toString(), " / ",
-                    out.globalAccesses.size(), " global / ",
-                    out.sharedAccesses.size(), " shared");
-    }
-    for (const auto &[key, value] : oracle.regWrites) {
-        const auto thread = static_cast<std::uint32_t>(key >> 16);
-        const auto reg = static_cast<RegIndex>(key & 0xffff);
-        const std::uint32_t got = cta.readReg(thread, reg);
-        if (got != value) {
-            VTSIM_FATAL("micro-op oracle: pc ", pc, " (",
-                        toString(inst.op), ") thread ", thread, " r",
-                        reg, ": legacy wrote ", value,
-                        ", micro state has ", got);
-        }
-    }
-    for (const auto &[addr, byte] : oracle.sharedWrites) {
-        if (cta.shared[addr] != byte) {
-            VTSIM_FATAL("micro-op oracle: pc ", pc, " (",
-                        toString(inst.op), ") shared[", addr,
-                        "]: legacy wrote ", unsigned(byte),
-                        ", micro state has ", unsigned(cta.shared[addr]));
-        }
-    }
-    for (const auto &[addr, byte] : ogmem.writes) {
-        if (gmem.read8(addr) != byte) {
-            VTSIM_FATAL("micro-op oracle: pc ", pc, " (",
-                        toString(inst.op), ") gmem[", addr,
-                        "]: legacy wrote ", unsigned(byte),
-                        ", micro state has ", unsigned(gmem.read8(addr)));
-        }
-    }
+    const MicroProgram prog = buildMicroProgram({inst});
+    ExecResult out;
+    executeMicroInto(prog, 0, warp_in_cta, mask, cta, gmem, launch, out);
+    return out;
 }
 
 } // namespace vtsim

@@ -1,9 +1,15 @@
 /**
  * @file
  * Functional (value-level) execution of VASM instructions at warp
- * granularity. The timing model calls execute() at issue time — as
- * GPGPU-Sim's performance model does — so that the address streams the
- * memory system sees are the real ones the data produces.
+ * granularity. The timing model executes each instruction at issue
+ * time — as GPGPU-Sim's performance model does — so that the address
+ * streams the memory system sees are the real ones the data produces.
+ *
+ * There is one interpreter: the pre-decoded micro-op stream
+ * (isa/microcode.hh), run by executeMicroInto(). execute() is the same
+ * interpreter for a single instruction. The per-lane opcode-switch
+ * interpreter it replaced lives on in tests/reference_interpreter.hh as
+ * the model tests/test_micro_reference.cc checks every handler against.
  */
 
 #ifndef VTSIM_FUNC_EXEC_CONTEXT_HH
@@ -114,20 +120,12 @@ struct ExecResult
 };
 
 /**
- * Functionally execute @p inst for warp @p warp_in_cta of the CTA whose
- * value state is @p cta, under @p mask. Loads/stores update functional
- * memory immediately; the timing model only replays the addresses.
- */
-ExecResult execute(const Instruction &inst, std::uint32_t warp_in_cta,
-                   ActiveMask mask, CtaFuncState &cta, GlobalMemory &gmem,
-                   const LaunchParams &launch);
-
-/**
- * Fast path: execute the pre-decoded micro-op at stream index @p pc
- * (index-parallel with the instruction stream) into caller-owned
- * @p out, which is cleared first — reusing one ExecResult across
- * issues avoids the per-issue vector allocation execute() pays.
- * Bit-identical to execute() on the same pre-state.
+ * Execute the pre-decoded micro-op at stream index @p pc (index-parallel
+ * with the instruction stream) for warp @p warp_in_cta of the CTA whose
+ * value state is @p cta, under @p mask, into caller-owned @p out, which
+ * is cleared first — reusing one ExecResult across issues keeps the
+ * issue loop allocation-free. Loads/stores update functional memory
+ * immediately; the timing model only replays the addresses.
  */
 void executeMicroInto(const MicroProgram &prog, Pc pc,
                       std::uint32_t warp_in_cta, ActiveMask mask,
@@ -135,17 +133,14 @@ void executeMicroInto(const MicroProgram &prog, Pc pc,
                       const LaunchParams &launch, ExecResult &out);
 
 /**
- * Oracle wrapper around executeMicroInto: first runs the legacy
- * interpreter against copy-on-write overlays of @p cta / @p gmem, then
- * the micro-op on the real state, and fatals on any divergence in the
- * ExecResult, written registers, shared-memory bytes, or global-memory
- * bytes. Debug builds run this for every issued instruction (see
- * GpuConfig::microOracle).
+ * executeMicroInto() for the single instruction @p inst, lowered on the
+ * spot: a convenience for tests and tools that step one instruction.
+ * A branch's target is irrelevant here; only the taken lanes are
+ * reported.
  */
-void executeMicroChecked(const MicroProgram &prog, const Instruction &inst,
-                         Pc pc, std::uint32_t warp_in_cta, ActiveMask mask,
-                         CtaFuncState &cta, GlobalMemory &gmem,
-                         const LaunchParams &launch, ExecResult &out);
+ExecResult execute(const Instruction &inst, std::uint32_t warp_in_cta,
+                   ActiveMask mask, CtaFuncState &cta, GlobalMemory &gmem,
+                   const LaunchParams &launch);
 
 } // namespace vtsim
 

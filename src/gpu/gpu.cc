@@ -89,12 +89,19 @@ configFields(Archive &&field, Config &cfg)
     field(cfg.throttleLowWater);
     field(cfg.maxCycles);
     field(cfg.fastForwardEnabled);
-    field(cfg.incrementalReadySets);
+    // Retired knobs keep their bytes, so images stay byte-identical and
+    // older images restorable: the incremental ready-set toggle here,
+    // the interpreter toggle and its oracle after shardOracle. Save
+    // writes the values every default build wrote (1, 1, 0); restore
+    // reads them into these temporaries and discards them.
+    bool retired_ready_sets = true;
+    field(retired_ready_sets);
     field(cfg.readySetOracle);
     field(cfg.horizonOracle);
     field(cfg.shardOracle);
-    field(cfg.microcodeEnabled);
-    field(cfg.microOracle);
+    bool retired_interpreter[2] = {true, false};
+    field(retired_interpreter[0]);
+    field(retired_interpreter[1]);
 }
 
 void

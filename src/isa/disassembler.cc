@@ -13,7 +13,9 @@ namespace {
 std::string
 regName(RegIndex r)
 {
-    return "r" + std::to_string(r);
+    std::string name = "r";
+    name += std::to_string(r);
+    return name;
 }
 
 std::string
@@ -154,7 +156,7 @@ disassemble(const Kernel &kernel)
     }
     for (Pc pc : needed)
         if (!labels.count(pc))
-            labels[pc] = "L" + std::to_string(pc);
+            labels[pc] = std::string("L").append(std::to_string(pc));
 
     std::ostringstream os;
     os << ".kernel " << kernel.name() << '\n';

@@ -75,8 +75,6 @@ struct BatchMeta
     double wallMs = 0.0;
     /** Per-run shard threads (--sim-threads); 0 = sequential. */
     unsigned simThreads = 0;
-    /** "microcode" | "legacy" | "default" (no --exec override). */
-    std::string execMode = "default";
     /** Batch simulated kilocycles per host-second. */
     double kcyclesPerSec = 0.0;
     /** Batch millions of thread instructions per host-second. */

@@ -387,14 +387,10 @@ SmCore::tick(Cycle now)
         verifyReadySets();
 
     // 4. Issue: each scheduler picks one warp among its ready ones. The
-    //    same sweep gathers the bubble attribution, so a scheduler slot
-    //    that issues nothing is classified without a second warp scan
-    //    (the outcome is identical to classifyIssueBubble()). With
-    //    incremental ready sets the sweep visits only the ready list and
-    //    derives the bubble flags from the cached per-scheduler
-    //    counters; the else branch below is the original full rescan,
-    //    kept as the reference the oracle and the on/off property tests
-    //    compare against.
+    //    sweep visits only the ready list, and the same pass gathers the
+    //    bubble attribution from the cached per-scheduler counters, so a
+    //    scheduler slot that issues nothing is classified without a
+    //    second walk (the outcome is identical to classifyIssueBubble()).
     const StallBreakdown before_issue = stalls_;
     IssueBudgets budgets{config_.aluThroughputPerSm,
                          config_.sfuThroughputPerSm,
@@ -403,107 +399,39 @@ SmCore::tick(Cycle now)
         cands_.clear();
         refs_.clear();
         decodes_.clear();
-        if (config_.incrementalReadySets) {
-            // Structural ports are constant within one scheduler's scan
-            // (issues by earlier schedulers already happened): hoist.
-            const bool ldst_ok = ldst_.canAccept();
-            const bool shmem_ok = shmem_.canAccept(now);
-            bool mem_blocked = false;
-            std::uint32_t ready_offchip = 0;
-            for (const std::uint64_t key : ready_[s]) {
-                const VirtualCtaId slot = key >> 8;
-                VirtualCta &cta = ctas_[slot];
-                const std::uint32_t w = key & 0xff;
-                WarpContext &warp = cta.warps[w];
-                const Instruction &inst =
-                    kernelOf(cta)->at(warp.stack().pc());
-                const bool can_issue =
-                    warp.readyAt() <= now &&
-                    (!inst.isGlobalMem() || ldst_ok) &&
-                    (!inst.isSharedMem() || shmem_ok);
-                if (warp.pendingOffChip() > 0) {
-                    ++ready_offchip;
-                    if (!can_issue)
-                        mem_blocked = true;
-                }
+        // Structural ports are constant within one scheduler's scan
+        // (issues by earlier schedulers already happened): hoist.
+        const bool ldst_ok = ldst_.canAccept();
+        const bool shmem_ok = shmem_.canAccept(now);
+        bool mem_blocked = false;
+        std::uint32_t ready_offchip = 0;
+        for (const std::uint64_t key : ready_[s]) {
+            const VirtualCtaId slot = key >> 8;
+            VirtualCta &cta = ctas_[slot];
+            const std::uint32_t w = key & 0xff;
+            WarpContext &warp = cta.warps[w];
+            const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
+            const bool can_issue =
+                warp.readyAt() <= now &&
+                (!inst.isGlobalMem() || ldst_ok) &&
+                (!inst.isSharedMem() || shmem_ok);
+            if (warp.pendingOffChip() > 0) {
+                ++ready_offchip;
                 if (!can_issue)
-                    continue;
-                if (!budgetAllows(inst, budgets))
-                    continue;
-                const std::uint64_t ckey = cta.age * 256 + w;
-                cands_.push_back({ckey, ckey});
-                refs_.emplace_back(slot, w);
-                decodes_.push_back(&inst);
+                    mem_blocked = true;
             }
-            if (cands_.empty()) {
-                // Off-chip warps missing from the ready list (barrier or
-                // hazard blocked) cannot issue, so they are mem-blocked
-                // without being visited.
-                BubbleKind kind = BubbleKind::Short;
-                const std::uint32_t issuable_alive =
-                    schedAlive_[s] - schedFrozenAlive_[s];
-                if (schedAlive_[s] == 0)
-                    kind = BubbleKind::Idle;
-                else if (mem_blocked ||
-                         schedIssuableOffchip_[s] > ready_offchip)
-                    kind = BubbleKind::Mem;
-                else if (issuable_alive == schedIssuableBarrier_[s] &&
-                         schedFrozenAlive_[s] == 0)
-                    kind = BubbleKind::Barrier;
-                else if (schedFrozenAlive_[s] > 0)
-                    kind = BubbleKind::Swap;
-                chargeBubble(kind, 1);
+            if (!can_issue)
                 continue;
-            }
-        } else {
-            bool any_warp = false;
-            bool any_frozen = false;
-            bool any_mem_blocked = false;
-            bool all_barrier = true;
-            for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
-                VirtualCta &cta = ctas_[slot];
-                if (!cta.valid || cta.aliveBySched[s] == 0)
-                    continue;
-                any_warp = true;
-                if (!vt_.isIssuable(slot)) {
-                    any_frozen = true;
-                    continue;
-                }
-                for (std::uint32_t w : cta.schedWarps[s]) {
-                    WarpContext &warp = cta.warps[w];
-                    if (warp.done())
-                        continue;
-                    if (!warp.atBarrier())
-                        all_barrier = false;
-                    const bool can_issue =
-                        warpCanIssueLocal(cta, warp, now);
-                    if (warp.pendingOffChip() > 0 && !can_issue)
-                        any_mem_blocked = true;
-                    if (!can_issue)
-                        continue;
-                    const Instruction &inst =
-                        kernelOf(cta)->at(warp.stack().pc());
-                    if (!budgetAllows(inst, budgets))
-                        continue;
-                    const std::uint64_t key = cta.age * 256 + w;
-                    cands_.push_back({key, key});
-                    refs_.emplace_back(slot, w);
-                    decodes_.push_back(&inst);
-                }
-            }
-            if (cands_.empty()) {
-                BubbleKind kind = BubbleKind::Short;
-                if (!any_warp)
-                    kind = BubbleKind::Idle;
-                else if (any_mem_blocked)
-                    kind = BubbleKind::Mem;
-                else if (all_barrier && !any_frozen)
-                    kind = BubbleKind::Barrier;
-                else if (any_frozen)
-                    kind = BubbleKind::Swap;
-                chargeBubble(kind, 1);
+            if (!budgetAllows(inst, budgets))
                 continue;
-            }
+            const std::uint64_t ckey = cta.age * 256 + w;
+            cands_.push_back({ckey, ckey});
+            refs_.emplace_back(slot, w);
+            decodes_.push_back(&inst);
+        }
+        if (cands_.empty()) {
+            chargeBubble(bubbleKind(s, mem_blocked, ready_offchip), 1);
+            continue;
         }
         const std::size_t chosen = schedulers_[s]->pick(cands_);
         const auto [slot, w] = refs_[chosen];
@@ -556,47 +484,6 @@ SmCore::tick(Cycle now)
 SmCore::BubbleKind
 SmCore::classifyIssueBubble(std::uint32_t scheduler, Cycle now) const
 {
-    // Nothing issued from this scheduler slot: attribute the bubble.
-    bool any_warp = false;
-    bool any_frozen = false;
-    bool any_mem_blocked = false;
-    bool all_barrier = true;
-    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
-        const VirtualCta &cta = ctas_[slot];
-        if (!cta.valid || cta.aliveBySched[scheduler] == 0)
-            continue;
-        any_warp = true;
-        if (!vt_.isIssuable(slot)) {
-            any_frozen = true;
-            continue;
-        }
-        for (std::uint32_t w : cta.schedWarps[scheduler]) {
-            const WarpContext &warp = cta.warps[w];
-            if (warp.done())
-                continue;
-            if (!warp.atBarrier())
-                all_barrier = false;
-            if (warp.pendingOffChip() > 0 &&
-                !warpCanIssueLocal(cta, warp, now))
-                any_mem_blocked = true;
-        }
-    }
-    if (!any_warp)
-        return BubbleKind::Idle;
-    if (any_mem_blocked)
-        return BubbleKind::Mem;
-    if (all_barrier && !any_frozen)
-        return BubbleKind::Barrier;
-    if (any_frozen)
-        return BubbleKind::Swap;
-    return BubbleKind::Short;
-}
-
-SmCore::BubbleKind
-SmCore::classifyIssueBubbleFast(std::uint32_t scheduler, Cycle now) const
-{
-    if (schedAlive_[scheduler] == 0)
-        return BubbleKind::Idle;
     const bool ldst_ok = ldst_.canAccept();
     bool mem_blocked = false;
     std::uint32_t ready_offchip = 0;
@@ -612,15 +499,26 @@ SmCore::classifyIssueBubbleFast(std::uint32_t scheduler, Cycle now) const
             mem_blocked = true;
         }
     }
-    if (mem_blocked || schedIssuableOffchip_[scheduler] > ready_offchip)
+    return bubbleKind(scheduler, mem_blocked, ready_offchip);
+}
+
+SmCore::BubbleKind
+SmCore::bubbleKind(std::uint32_t s, bool mem_blocked,
+                   std::uint32_t ready_offchip) const
+{
+    if (schedAlive_[s] == 0)
+        return BubbleKind::Idle;
+    // Off-chip warps missing from the ready list (barrier or hazard
+    // blocked) cannot issue, so they are mem-blocked without being
+    // visited.
+    if (mem_blocked || schedIssuableOffchip_[s] > ready_offchip)
         return BubbleKind::Mem;
-    const std::uint32_t issuable_alive =
-        schedAlive_[scheduler] - schedFrozenAlive_[scheduler];
-    if (issuable_alive == schedIssuableBarrier_[scheduler] &&
-        schedFrozenAlive_[scheduler] == 0) {
+    const std::uint32_t issuable_alive = schedAlive_[s] - schedFrozenAlive_[s];
+    if (issuable_alive == schedIssuableBarrier_[s] &&
+        schedFrozenAlive_[s] == 0) {
         return BubbleKind::Barrier;
     }
-    if (schedFrozenAlive_[scheduler] > 0)
+    if (schedFrozenAlive_[s] > 0)
         return BubbleKind::Swap;
     return BubbleKind::Short;
 }
@@ -682,36 +580,19 @@ SmCore::computeNextEvent(Cycle now)
     // ready lists alone carry the warp term. (A hazard-blocked warp's
     // readyAt is no event either: when the release event lands and
     // publishes it, a still-future readyAt re-enters the horizon here.)
-    if (config_.incrementalReadySets) {
-        for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-            for (const std::uint64_t key : ready_[s]) {
-                const VirtualCta &cta = ctas_[key >> 8];
-                const WarpContext &warp = cta.warps[key & 0xff];
-                if (warp.readyAt() > now) {
-                    next = std::min(next, warp.readyAt());
-                    continue;
-                }
-                const Instruction &inst =
-                    kernelOf(cta)->at(warp.stack().pc());
-                if ((!inst.isGlobalMem() || ldst_.canAccept()) &&
-                    (!inst.isSharedMem() || shmem_.canAccept(now))) {
-                    return now;
-                }
-            }
-        }
-        return next;
-    }
-    for (VirtualCtaId slot = 0; slot < ctas_.size(); ++slot) {
-        const VirtualCta &cta = ctas_[slot];
-        if (!cta.valid || cta.warpsAlive == 0 || !vt_.isIssuable(slot))
-            continue;
-        for (const WarpContext &warp : cta.warps) {
-            if (warp.done() || warp.atBarrier())
-                continue;
-            if (warp.readyAt() > now)
+    for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
+        for (const std::uint64_t key : ready_[s]) {
+            const VirtualCta &cta = ctas_[key >> 8];
+            const WarpContext &warp = cta.warps[key & 0xff];
+            if (warp.readyAt() > now) {
                 next = std::min(next, warp.readyAt());
-            else if (warpCanIssueLocal(cta, warp, now))
+                continue;
+            }
+            const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
+            if ((!inst.isGlobalMem() || ldst_.canAccept()) &&
+                (!inst.isSharedMem() || shmem_.canAccept(now))) {
                 return now;
+            }
         }
     }
     return next;
@@ -760,9 +641,7 @@ SmCore::accountIdleCycles(Cycle now, std::uint64_t n)
     vt_.fastForwardIdle(n);
     bool any_mem = false;
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        const BubbleKind kind = config_.incrementalReadySets
-                                    ? classifyIssueBubbleFast(s, now)
-                                    : classifyIssueBubble(s, now);
+        const BubbleKind kind = classifyIssueBubble(s, now);
         chargeBubble(kind, n);
         any_mem = any_mem || kind == BubbleKind::Mem;
     }
@@ -783,23 +662,10 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
     VTSIM_TRACE(TraceFlag::Issue, now, stats_.name(), "cta ", slot, " w",
                 w, " pc ", pc, " [", mask.count(), " lanes] ",
                 disassemble(inst));
-    // Functional execution: micro-op fast path by default (optionally
-    // oracle-checked against the legacy interpreter), legacy switch
-    // interpreter behind the flag. Bit-identical either way.
+    // Functional execution through the kernel's pre-decoded micro-ops.
     ExecResult &res = execScratch_;
-    const Kernel &kernel = *kernelOf(cta);
-    const LaunchParams &launch = *launchOf(cta);
-    if (config_.microcodeEnabled) {
-        if (microOracleEnabled()) {
-            executeMicroChecked(kernel.micro(), inst, pc, w, mask,
-                                cta.func, *gmem_, launch, res);
-        } else {
-            executeMicroInto(kernel.micro(), pc, w, mask, cta.func,
-                             *gmem_, launch, res);
-        }
-    } else {
-        res = execute(inst, w, mask, cta.func, *gmem_, launch);
-    }
+    executeMicroInto(kernelOf(cta)->micro(), pc, w, mask, cta.func, *gmem_,
+                     *launchOf(cta), res);
     warp.countIssue();
     lastBusy_ = now;
     ++instructionsIssued_;
@@ -1028,20 +894,13 @@ SmCore::ctaFullyStalled(VirtualCtaId id) const
 {
     const VirtualCta &cta = ctas_[id];
     VTSIM_ASSERT(cta.valid, "query on retired CTA");
-    // warpCanIssueLocal(warp, now, /*ignore_structural=*/true) is exactly
-    // warpReadyMember(warp) && readyAt <= now. At the VT tick every ready
-    // member has readyAt <= now — readyAt is only ever set to cycle + 1,
-    // at an issue or barrier release of an earlier cycle — so for an
-    // issuable CTA "no warp could issue" is "no warp is listed".
-    if (config_.incrementalReadySets && vt_.isIssuable(id))
-        return cta.readyMembers == 0;
-    for (const WarpContext &warp : cta.warps) {
-        if (warp.done())
-            continue;
-        if (warpCanIssueLocal(cta, warp, now_, true))
-            return false;
-    }
-    return true;
+    // The VT manager asks only about its active CTAs, which are
+    // issuable. "No warp could issue, ports aside" is then "no warp is
+    // listed": at the VT tick every listed warp has readyAt <= now,
+    // because readyAt is only ever set to cycle + 1, at an issue or
+    // barrier release of an earlier cycle.
+    VTSIM_ASSERT(vt_.isIssuable(id), "stall query on frozen CTA ", id);
+    return cta.readyMembers == 0;
 }
 
 bool
@@ -1052,21 +911,11 @@ SmCore::ctaAnyWarpLongStalled(VirtualCtaId id) const
     // Same identity as ctaFullyStalled(): an off-chip warp is long-stalled
     // unless it is listed, so comparing the CTA's off-chip warps with its
     // listed off-chip warps answers the existence query.
-    if (config_.incrementalReadySets && vt_.isIssuable(id)) {
-        std::uint32_t offchip_total = 0;
-        for (std::uint32_t s = 0; s < config_.numSchedulers; ++s)
-            offchip_total += cta.offchipBySched[s];
-        return offchip_total > cta.readyOffchip;
-    }
-    for (const WarpContext &warp : cta.warps) {
-        if (warp.done())
-            continue;
-        if (warp.pendingOffChip() > 0 &&
-            !warpCanIssueLocal(cta, warp, now_, true)) {
-            return true;
-        }
-    }
-    return false;
+    VTSIM_ASSERT(vt_.isIssuable(id), "stall query on frozen CTA ", id);
+    std::uint32_t offchip_total = 0;
+    for (std::uint32_t s = 0; s < config_.numSchedulers; ++s)
+        offchip_total += cta.offchipBySched[s];
+    return offchip_total > cta.readyOffchip;
 }
 
 std::uint32_t

@@ -350,16 +350,6 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         Short,
     };
 
-    /**
-     * Warp-local issuability. With @p ignore_structural the per-SM port
-     * constraints (LDST queue space, shared-mem port) are ignored: the VT
-     * swap trigger must not mistake structural back-pressure — which
-     * clears in a few cycles — for a long-latency stall.
-     * Inline (below): called for every warp visit of the issue sweep.
-     */
-    bool warpCanIssueLocal(const VirtualCta &cta, const WarpContext &warp,
-                           Cycle now,
-                           bool ignore_structural = false) const;
     bool budgetAllows(const Instruction &inst,
                       const IssueBudgets &budgets) const;
     void chargeBudget(const Instruction &inst, IssueBudgets &budgets) const;
@@ -367,12 +357,15 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
                    const Instruction &inst, Cycle now);
     void maybeReleaseBarrier(VirtualCtaId slot, Cycle now);
     void finishCta(VirtualCtaId slot, Cycle now);
+    /** Attribute scheduler @p scheduler's empty slot from its ready
+     *  list and cached counters, in O(ready warps). */
     BubbleKind classifyIssueBubble(std::uint32_t scheduler,
                                    Cycle now) const;
-    /** classifyIssueBubble over the ready set + cached counters instead
-     *  of a full warp scan: identical result in O(ready warps). */
-    BubbleKind classifyIssueBubbleFast(std::uint32_t scheduler,
-                                       Cycle now) const;
+    /** The attribution itself, given what a walk of scheduler @p s's
+     *  ready list found: whether a listed off-chip warp could not
+     *  issue, and how many listed warps are off-chip. */
+    BubbleKind bubbleKind(std::uint32_t s, bool mem_blocked,
+                          std::uint32_t ready_offchip) const;
     /** The nextEventCycle() min-reduction itself, over settled state.
      *  Non-const only because LdstUnit::nextEventCycle is (it overrides
      *  the non-const SimComponent signature); it mutates nothing. */
@@ -385,9 +378,10 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     void onExternalEvent();
 
     // --- Incremental ready sets --------------------------------------------
-    /** Packed ready-list key; ascending order == the full sweep's
-     *  (slot, warp) visit order. Warp indices fit 8 bits by the same
-     *  argument as the schedulers' age * 256 + w candidate keys. */
+    /** Packed ready-list key; ascending order == (slot, warp) order,
+     *  the order a scan of the resident CTAs visits warps in. Warp
+     *  indices fit 8 bits by the same argument as the schedulers'
+     *  age * 256 + w candidate keys. */
     static std::uint64_t readyKey(VirtualCtaId slot, std::uint32_t w)
     { return (std::uint64_t(slot) << 8) | w; }
 
@@ -442,18 +436,6 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         return true;
 #else
         return config_.readySetOracle;
-#endif
-    }
-
-    /** Cross-check every micro-op execution against the legacy
-     *  interpreter (always in assert-enabled builds; release builds
-     *  opt in via GpuConfig::microOracle). */
-    bool microOracleEnabled() const
-    {
-#ifndef NDEBUG
-        return true;
-#else
-        return config_.microOracle;
 #endif
     }
 
@@ -572,31 +554,11 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     std::uint64_t replayCursor_ = 0;
     Cycle replayBase_ = 0;
 
-    /** Reusable ExecResult the micro-op fast path fills per issue, so
+    /** Reusable ExecResult the micro-op interpreter fills per issue, so
      *  the hot loop never allocates access vectors. Plain scratch: not
      *  machine state, never checkpointed. */
     ExecResult execScratch_;
 };
-
-inline bool
-SmCore::warpCanIssueLocal(const VirtualCta &cta, const WarpContext &warp,
-                          Cycle now, bool ignore_structural) const
-{
-    if (warp.done() || warp.atBarrier() || warp.readyAt() > now)
-        return false;
-    const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
-    if (inst.isExit() && warp.scoreboard().pendingCount() > 0)
-        return false; // Retire only with all writes landed.
-    if (warp.scoreboard().hasHazard(inst))
-        return false;
-    if (!ignore_structural) {
-        if (inst.isGlobalMem() && !ldst_.canAccept())
-            return false;
-        if (inst.isSharedMem() && !shmem_.canAccept(now))
-            return false;
-    }
-    return true;
-}
 
 } // namespace vtsim
 

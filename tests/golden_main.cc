@@ -1,16 +1,14 @@
 /**
  * @file
  * Print the golden KernelStats manifest (tests/golden.hh) to stdout,
- * one line per case, sorted by key. Cases run on up to four threads;
- * each owns its Gpu, so the output does not depend on the interleaving.
- * scripts/bless_golden.sh is the only intended caller.
+ * one line per case, sorted by key. Exits non-zero, printing nothing,
+ * if any run fails its output check. scripts/bless_golden.sh is the
+ * only intended caller.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "golden.hh"
@@ -18,28 +16,17 @@
 int
 main()
 {
-    using vtsim::golden::cases;
-    std::vector<std::string> lines(cases().size());
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> all_verified{true};
-    const unsigned threads =
-        std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < threads; ++t) {
-        pool.emplace_back([&] {
-            for (std::size_t i = next++; i < lines.size(); i = next++) {
-                bool verified = false;
-                lines[i] = cases()[i].run(verified);
-                if (!verified) {
-                    std::fprintf(stderr, "%s: output check failed\n",
-                                 cases()[i].key.c_str());
-                    all_verified = false;
-                }
-            }
-        });
+    std::vector<std::string> lines;
+    bool all_verified = true;
+    for (const vtsim::golden::Case &c : vtsim::golden::cases()) {
+        bool verified = false;
+        lines.push_back(c.run(verified));
+        if (!verified) {
+            std::fprintf(stderr, "%s: output check failed\n",
+                         c.key.c_str());
+            all_verified = false;
+        }
     }
-    for (std::thread &t : pool)
-        t.join();
     if (!all_verified)
         return 1;
     std::sort(lines.begin(), lines.end());

@@ -315,8 +315,9 @@ TEST(JobServiceEvlog, CrashRetryAndRejectAreLogged)
     EXPECT_EQ(kinds.at("start"), 2);
     for (const Json &e : events) {
         const std::string kind = e.find("event")->asString();
-        if (kind == "retry")
+        if (kind == "retry") {
             EXPECT_EQ(e.find("from")->asString(), "checkpoint");
+        }
         if (kind == "start" && e.find("attempt")->asInt() == 2)
             return; // Saw the retried attempt — all good.
     }

@@ -7,11 +7,11 @@
  *       with a full rescan of every warp — checked every tick by the
  *       in-simulator oracle (readySetOracle), which panics on the first
  *       divergence; and
- *   (b) the feature is stats-invisible: end-of-run KernelStats match
- *       the golden manifest (tests/golden.hh), which was blessed with
- *       incrementalReadySets on and confirmed byte-identical with it
- *       off, on the baseline, Virtual Thread, and CTA-throttled
- *       machines alike.
+ *   (b) the ready sets are stats-invisible: end-of-run KernelStats
+ *       match the golden manifest (tests/golden.hh), which was blessed
+ *       while the full-scan issue path still shipped and came out
+ *       byte-identical under it, on the baseline, Virtual Thread, and
+ *       CTA-throttled machines alike.
  * Configurations are drawn from a seeded RNG so the properties are
  * exercised across scheduler policies, scheduler counts, and both swap
  * triggers, not just the defaults.
@@ -89,17 +89,6 @@ TEST(ReadySet, BitIdenticalStatsFeatureOnOffRandomConfigs)
 {
     golden::expectGoldenPrefix("ready/" + std::to_string(20160618) + "/");
     golden::expectGoldenPrefix("ready/" + std::to_string(0x5eed) + "/");
-}
-
-/** The oracle also holds with the sweep running the legacy full-scan
- *  path (sets are maintained either way and must agree with it). */
-TEST(ReadySet, OracleCleanWithFeatureOff)
-{
-    GpuConfig cfg = smallConfig();
-    cfg.incrementalReadySets = false;
-    cfg.readySetOracle = true;
-    for (auto &[tag, variant] : machineVariants(cfg))
-        runOn(variant, "reduce");
 }
 
 } // namespace
