@@ -188,6 +188,23 @@ buildCases()
     vt8.numMemPartitions = 4;
     for (const std::string &wl : benchmarkNames())
         addRun(out, "vt8/" + wl, vt8, {wl}, SharePolicy::VtFill, 1);
+    // The same machine under the two non-default warp schedulers, with
+    // and without VT, so every policy is pinned where swaps happen.
+    for (const SchedulerPolicy policy : {SchedulerPolicy::LooseRoundRobin,
+                                         SchedulerPolicy::TwoLevel}) {
+        GpuConfig sched_vt = vt8;
+        sched_vt.schedulerPolicy = policy;
+        GpuConfig sched_base = sched_vt;
+        sched_base.vtEnabled = false;
+        for (const std::string &wl : benchmarkNames()) {
+            const std::string prefix =
+                "sched/" + toString(policy) + "/" + wl + "/";
+            addRun(out, prefix + "baseline", sched_base, {wl},
+                   SharePolicy::VtFill, 1);
+            addRun(out, prefix + "vt", sched_vt, {wl}, SharePolicy::VtFill,
+                   1);
+        }
+    }
 
     const std::vector<std::vector<std::string>> mixes = {
         {"vecadd", "matmul"},

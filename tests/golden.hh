@@ -17,6 +17,10 @@
  *   vt8/<workload>                     the 16 workloads on an 8-SM /
  *                                      4-partition VT machine, scale 1
  *                                      (the runs that swap);
+ *   sched/lrr|two-level/<workload>/baseline|vt
+ *                                      the vt8 machine under the two
+ *                                      non-default warp schedulers,
+ *                                      with VT off and on, scale 1;
  *   ready/default/<workload>/<machine> test::smallConfig machines;
  *   ready/<seed>/d<n>/<workload>/<machine>
  *                                      randomConfig draws per seed;

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/rng.hh"
+#include "golden.hh"
 #include "sm/warp_scheduler.hh"
 
 namespace vtsim {
@@ -148,6 +149,19 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyProperty,
                              SchedulerPolicy::LooseRoundRobin,
                              SchedulerPolicy::GreedyThenOldest,
                              SchedulerPolicy::TwoLevel));
+
+/** The 16 workloads on the 8-SM machine at scale 1, VT off and on,
+ *  under each non-default policy, looked up in the golden manifest
+ *  (GTO is pinned by the vt8/ and grid lines). */
+TEST(SchedulerGolden, LrrMatchesManifest)
+{
+    golden::expectGoldenPrefix("sched/lrr/");
+}
+
+TEST(SchedulerGolden, TwoLevelMatchesManifest)
+{
+    golden::expectGoldenPrefix("sched/two-level/");
+}
 
 } // namespace
 } // namespace vtsim
