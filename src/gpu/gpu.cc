@@ -9,6 +9,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/aggregate_arity.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
 #include "config/sim_mode.hh"
@@ -18,19 +19,18 @@ namespace vtsim {
 
 namespace {
 
+/** Placeholder bytes configFields() visits for retired knobs. */
+constexpr std::size_t retiredConfigFields = 3;
+
 /**
  * GpuConfig goes into the "conf" section field by field: the struct
  * mixes bools and doubles with wider fields, so a raw-byte copy would
  * leak indeterminate padding into the checkpoint and break
- * byte-determinism. The sizeof tripwire forces this list to be updated
- * whenever a field is added (vtsim targets one LP64 toolchain, so the
- * value is stable).
+ * byte-determinism. The static_assert below configFieldVisits() forces
+ * this list to be updated whenever a field is added or removed.
  */
-static_assert(sizeof(GpuConfig) == 240,
-              "GpuConfig changed — update saveConfig()/restoreConfig()");
-
 template <typename Archive, typename Config>
-void
+constexpr void
 configFields(Archive &&field, Config &cfg)
 {
     field(cfg.numSms);
@@ -104,6 +104,19 @@ configFields(Archive &&field, Config &cfg)
     field(retired_interpreter[1]);
 }
 
+constexpr std::size_t
+configFieldVisits()
+{
+    GpuConfig cfg;
+    std::size_t n = 0;
+    configFields([&n](const auto &) { ++n; }, cfg);
+    return n;
+}
+
+static_assert(configFieldVisits() ==
+                  aggregateArity<GpuConfig>() + retiredConfigFields,
+              "GpuConfig changed — update configFields()");
+
 void
 saveConfig(Serializer &ser, const GpuConfig &cfg)
 {
@@ -139,6 +152,12 @@ restoreConfig(Deserializer &des)
 }
 
 } // namespace
+
+std::size_t
+checkpointedConfigFields()
+{
+    return configFieldVisits() - retiredConfigFields;
+}
 
 std::string
 toString(SharePolicy policy)

@@ -7,12 +7,35 @@
 
 #include <sstream>
 
+#include "common/aggregate_arity.hh"
 #include "common/log.hh"
 #include "config/gpu_config.hh"
 #include "config/sim_mode.hh"
+#include "gpu/gpu.hh"
 
 namespace vtsim {
 namespace {
+
+TEST(GpuConfig, AggregateArityCountsMembers)
+{
+    struct Three
+    {
+        bool a;
+        std::uint64_t b;
+        double c;
+    };
+    static_assert(aggregateArity<Three>() == 3);
+    struct Empty
+    {};
+    static_assert(aggregateArity<Empty>() == 0);
+}
+
+/** Every GpuConfig member is checkpointed: a member added without a
+ *  configFields() line changes the arity but not the visit count. */
+TEST(GpuConfig, CheckpointCarriesEveryMember)
+{
+    EXPECT_EQ(checkpointedConfigFields(), aggregateArity<GpuConfig>());
+}
 
 TEST(GpuConfig, PresetsValidate)
 {
