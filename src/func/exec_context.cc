@@ -82,10 +82,46 @@ asFloat(std::uint32_t v)
     return std::bit_cast<float>(v);
 }
 
+/**
+ * The register bits of a float result. IEEE 754 leaves the sign and
+ * payload of a NaN result open, and the host picks them from whatever
+ * operand order the compiler emits; every NaN is therefore stored as
+ * the canonical 0x7fffffff, so results never depend on the toolchain.
+ */
 std::uint32_t
-asBits(float v)
+floatBits(float v)
 {
-    return std::bit_cast<std::uint32_t>(v);
+    return std::isnan(v) ? 0x7fffffffu : std::bit_cast<std::uint32_t>(v);
+}
+
+/**
+ * FMIN/FMAX, spelled out rather than std::fmin/fmax: a NaN operand
+ * (quiet or signalling) yields the other operand, and -0 orders below
+ * +0. IEEE 754 lets either zero be returned for a pair of zeros, and
+ * C libraries differ on signalling NaNs.
+ */
+float
+fminOrdered(float a, float b)
+{
+    if (std::isnan(a))
+        return b;
+    if (std::isnan(b))
+        return a;
+    if (a == b)
+        return std::signbit(a) ? a : b;
+    return a < b ? a : b;
+}
+
+float
+fmaxOrdered(float a, float b)
+{
+    if (std::isnan(a))
+        return b;
+    if (std::isnan(b))
+        return a;
+    if (a == b)
+        return std::signbit(a) ? b : a;
+    return a > b ? a : b;
 }
 
 bool
@@ -196,21 +232,21 @@ hUnary(const MicroOp &u, MicroCtx &ctx)
         } else if constexpr (Op == Opcode::NOT) {
             v = ~a;
         } else if constexpr (Op == Opcode::I2F) {
-            v = asBits(static_cast<float>(static_cast<std::int32_t>(a)));
+            v = floatBits(static_cast<float>(static_cast<std::int32_t>(a)));
         } else if constexpr (Op == Opcode::F2I) {
             v = static_cast<std::uint32_t>(
                 static_cast<std::int32_t>(asFloat(a)));
         } else if constexpr (Op == Opcode::FRCP) {
             const float x = asFloat(a);
-            v = asBits(x != 0.0f ? 1.0f / x : 0.0f);
+            v = floatBits(x != 0.0f ? 1.0f / x : 0.0f);
         } else if constexpr (Op == Opcode::FSQRT) {
-            v = asBits(std::sqrt(std::fmax(asFloat(a), 0.0f)));
+            v = floatBits(std::sqrt(std::fmax(asFloat(a), 0.0f)));
         } else if constexpr (Op == Opcode::FEXP) {
-            v = asBits(std::exp(asFloat(a)));
+            v = floatBits(std::exp(asFloat(a)));
         } else {
             static_assert(Op == Opcode::FLOG, "unhandled unary opcode");
             const float x = asFloat(a);
-            v = asBits(x > 0.0f ? std::log(x) : 0.0f);
+            v = floatBits(x > 0.0f ? std::log(x) : 0.0f);
         }
         r[u.dst] = v;
     });
@@ -251,15 +287,15 @@ hAlu(const MicroOp &u, MicroCtx &ctx)
         } else if constexpr (Op == Opcode::SHR) {
             v = a >> (b & 31);
         } else if constexpr (Op == Opcode::FADD) {
-            v = asBits(asFloat(a) + asFloat(b));
+            v = floatBits(asFloat(a) + asFloat(b));
         } else if constexpr (Op == Opcode::FSUB) {
-            v = asBits(asFloat(a) - asFloat(b));
+            v = floatBits(asFloat(a) - asFloat(b));
         } else if constexpr (Op == Opcode::FMUL) {
-            v = asBits(asFloat(a) * asFloat(b));
+            v = floatBits(asFloat(a) * asFloat(b));
         } else if constexpr (Op == Opcode::FMIN) {
-            v = asBits(std::fmin(asFloat(a), asFloat(b)));
+            v = floatBits(fminOrdered(asFloat(a), asFloat(b)));
         } else if constexpr (Op == Opcode::FMAX) {
-            v = asBits(std::fmax(asFloat(a), asFloat(b)));
+            v = floatBits(fmaxOrdered(asFloat(a), asFloat(b)));
         } else if constexpr (Op == Opcode::IDIV) {
             const auto sa = static_cast<std::int32_t>(a);
             const auto sb = static_cast<std::int32_t>(b);
@@ -294,7 +330,7 @@ void
 hFfma(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
-        r[u.dst] = asBits(asFloat(r[u.src0]) * asFloat(r[u.src1]) +
+        r[u.dst] = floatBits(asFloat(r[u.src0]) * asFloat(r[u.src1]) +
                           asFloat(r[u.src2]));
     });
 }

@@ -15,10 +15,37 @@ asFloat(std::uint32_t v)
     return std::bit_cast<float>(v);
 }
 
+/** Float result bits; every NaN is the canonical 0x7fffffff. */
 std::uint32_t
 asBits(float v)
 {
-    return std::bit_cast<std::uint32_t>(v);
+    return v != v ? 0x7fffffffu : std::bit_cast<std::uint32_t>(v);
+}
+
+/** Lower of two floats, -0 below +0; a NaN operand yields the other. */
+float
+minFloat(float a, float b)
+{
+    if (a != a)
+        return b;
+    if (b != b)
+        return a;
+    if (a == 0.0f && b == 0.0f)
+        return std::signbit(a) ? a : b;
+    return a < b ? a : b;
+}
+
+/** Higher of two floats, +0 above -0; a NaN operand yields the other. */
+float
+maxFloat(float a, float b)
+{
+    if (a != a)
+        return b;
+    if (b != b)
+        return a;
+    if (a == 0.0f && b == 0.0f)
+        return std::signbit(a) ? b : a;
+    return a > b ? a : b;
 }
 
 bool
@@ -145,10 +172,10 @@ referenceExecute(const Instruction &inst, std::uint32_t warp_in_cta,
             wr(asBits(asFloat(rd(0)) * asFloat(rd(1)) + asFloat(rd(2))));
             break;
           case Opcode::FMIN:
-            wr(asBits(std::fmin(asFloat(rd(0)), asFloat(rb()))));
+            wr(asBits(minFloat(asFloat(rd(0)), asFloat(rb()))));
             break;
           case Opcode::FMAX:
-            wr(asBits(std::fmax(asFloat(rd(0)), asFloat(rb()))));
+            wr(asBits(maxFloat(asFloat(rd(0)), asFloat(rb()))));
             break;
           case Opcode::FSETP:
             wr(compareF(inst.cmp, asFloat(rd(0)),

@@ -133,46 +133,15 @@ pickMask(std::mt19937 &rng)
     }
 }
 
-bool
-isNan(std::uint32_t bits)
-{
-    return (bits & 0x7fffffffu) > 0x7f800000u;
-}
-
-/**
- * Do @p a and @p b agree as results of @p op? Bit for bit, except where
- * IEEE 754 leaves the bits open and the host compiler picks them: the
- * sign and payload of a NaN result, and which zero fmin/fmax return for
- * +0 and -0. Those depend on the operand order the compiler emits, not
- * on either interpreter's semantics.
- */
-bool
-sameResult(Opcode op, std::uint32_t a, std::uint32_t b)
-{
-    if (a == b)
-        return true;
-    switch (op) {
-      case Opcode::FMIN: case Opcode::FMAX:
-        if (((a | b) & 0x7fffffffu) == 0)
-            return true;
-        [[fallthrough]];
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
-      case Opcode::FFMA: case Opcode::FRCP: case Opcode::FSQRT:
-      case Opcode::FEXP: case Opcode::FLOG:
-        return isNan(a) && isNan(b);
-      default:
-        return false;
-    }
-}
-
-/** The first register where @p a and @p b differ as results of @p op,
- *  or "" when the register files agree. */
+/** The first register where @p a and @p b differ, bit for bit (NaN
+ *  results are canonical and fmin/fmax order -0 below +0, so no float
+ *  bit is left to the compiler), or "" when the register files agree. */
 std::string
-firstDiff(Opcode op, const std::vector<std::uint32_t> &a,
+firstDiff(const std::vector<std::uint32_t> &a,
           const std::vector<std::uint32_t> &b)
 {
     for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-        if (!sameResult(op, a[i], b[i])) {
+        if (a[i] != b[i]) {
             return "thread " + std::to_string(i / kRegs) + " r" +
                    std::to_string(i % kRegs) + ": micro " +
                    std::to_string(a[i]) + ", reference " +
@@ -220,7 +189,7 @@ checkOne(const Instruction &inst, std::uint32_t seed, AddrKind addr_kind,
     EXPECT_TRUE(got.branchTaken == want.branchTaken) << ctx;
     EXPECT_TRUE(got.globalAccesses == want.globalAccesses) << ctx;
     EXPECT_TRUE(got.sharedAccesses == want.sharedAccesses) << ctx;
-    EXPECT_EQ(firstDiff(inst.op, micro.cta.regs, ref.cta.regs), "") << ctx;
+    EXPECT_EQ(firstDiff(micro.cta.regs, ref.cta.regs), "") << ctx;
     EXPECT_TRUE(micro.cta.shared == ref.cta.shared) << ctx;
     for (const ExecResult *res : {&got, &want}) {
         for (const LaneAccess &a : res->globalAccesses) {

@@ -184,6 +184,38 @@ TEST_F(OpSemantics, FloatOpsMatchReferenceOnRandomPairs)
     }
 }
 
+/** Where IEEE 754 leaves the result bits open, vtsim fixes them: every
+ *  NaN result is 0x7fffffff and fmin/fmax order -0 below +0. */
+TEST_F(OpSemantics, FloatCornersAreCanonical)
+{
+    const std::uint32_t pinf = 0x7f800000u, ninf = 0xff800000u;
+    const std::uint32_t pzero = 0, nzero = 0x80000000u;
+    const std::uint32_t nan_a = 0xffc00001u, nan_b = 0x7fc00002u;
+    const std::uint32_t one = std::bit_cast<std::uint32_t>(1.0f);
+    const std::uint32_t canonical = 0x7fffffffu;
+    struct Corner
+    {
+        const char *name;
+        Opcode op;
+        std::uint32_t a, b, want;
+    };
+    const Corner corners[] = {
+        {"fadd inf-inf", Opcode::FADD, pinf, ninf, canonical},
+        {"fmul 0*inf", Opcode::FMUL, pzero, pinf, canonical},
+        {"fsub nan-nan", Opcode::FSUB, nan_a, nan_b, canonical},
+        {"fmin zeros", Opcode::FMIN, pzero, nzero, nzero},
+        {"fmax zeros", Opcode::FMAX, nzero, pzero, pzero},
+        {"fmin nan,nan", Opcode::FMIN, nan_b, nan_a, canonical},
+        {"fmax nan,1", Opcode::FMAX, nan_a, one, one},
+    };
+    for (const Corner &c : corners) {
+        const OpCase op{c.name, c.op,
+                        [&c](std::uint32_t, std::uint32_t) { return c.want; }};
+        checkCase(op, c.a, c.b);
+        checkCase(op, c.b, c.a);
+    }
+}
+
 TEST_F(OpSemantics, MadAndFfmaMatchReference)
 {
     Rng rng(0xabc);
