@@ -23,8 +23,7 @@ SmCore::SmCore(SmId id, const GpuConfig &config, Interconnect &noc)
         const std::uint32_t active_set =
             std::max(1u, config.effMaxWarpsPerSm() /
                              (4 * config.numSchedulers));
-        schedulers_.push_back(
-            WarpScheduler::create(config.schedulerPolicy, active_set));
+        schedulers_.emplace_back(config.schedulerPolicy, active_set);
     }
     ready_.resize(config.numSchedulers);
     schedAlive_.assign(config.numSchedulers, 0);
@@ -172,12 +171,9 @@ SmCore::beginGridBinding(GlobalMemory &gmem)
     grids_.clear();
     gmem_ = &gmem;
 
-    // Active CTAs respect the scheduling limit, so no sweep can see more
-    // than effMaxWarpsPerSm() candidates: size the scratch and the ready
-    // lists once here instead of growing them over the first ticks.
-    cands_.reserve(config_.effMaxWarpsPerSm());
-    refs_.reserve(config_.effMaxWarpsPerSm());
-    decodes_.reserve(config_.effMaxWarpsPerSm());
+    // Active CTAs respect the scheduling limit, so no ready list can
+    // hold more than effMaxWarpsPerSm() warps: size them once here
+    // instead of growing them over the first ticks.
     for (auto &list : ready_)
         list.reserve(config_.effMaxWarpsPerSm());
 }
@@ -251,6 +247,9 @@ SmCore::admitCta(const CtaAssignment &assignment, Cycle now, GridId grid)
                   kernel.regsPerThread(), kernel.sharedBytesPerCta());
 
     const std::uint32_t warps = launch.warpsPerCta();
+    VTSIM_ASSERT(slot < (1u << WarpScheduler::payloadBits) && warps <= 256 &&
+                     cta.age < (1ull << (64 - WarpScheduler::payloadBits - 8)),
+                 "ready-list key fields overflow at CTA slot ", slot);
     cta.warps.assign(warps, WarpContext());
     cta.listed.assign(warps, 0);
     cta.readyMembers = 0;
@@ -386,60 +385,48 @@ SmCore::tick(Cycle now)
     if (oracleEnabled())
         verifyReadySets();
 
-    // 4. Issue: each scheduler picks one warp among its ready ones. The
-    //    sweep visits only the ready list, and the same pass gathers the
-    //    bubble attribution from the cached per-scheduler counters, so a
-    //    scheduler slot that issues nothing is classified without a
-    //    second walk (the outcome is identical to classifyIssueBubble()).
+    // 4. Issue: each scheduler walks its ready list in policy order and
+    //    stops at the first warp that can issue. When none can, the walk
+    //    has visited every listed warp exactly once, and the bubble
+    //    attribution it gathered on the way classifies the empty slot
+    //    (the outcome is identical to classifyIssueBubble()).
     const StallBreakdown before_issue = stalls_;
     IssueBudgets budgets{config_.aluThroughputPerSm,
                          config_.sfuThroughputPerSm,
                          config_.ldstThroughputPerSm};
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        cands_.clear();
-        refs_.clear();
-        decodes_.clear();
-        // Structural ports are constant within one scheduler's scan
+        // Structural ports are constant within one scheduler's walk
         // (issues by earlier schedulers already happened): hoist.
         const bool ldst_ok = ldst_.canAccept();
         const bool shmem_ok = shmem_.canAccept(now);
         bool mem_blocked = false;
         std::uint32_t ready_offchip = 0;
-        for (const std::uint64_t key : ready_[s]) {
-            const VirtualCtaId slot = key >> 8;
-            VirtualCta &cta = ctas_[slot];
-            const std::uint32_t w = key & 0xff;
-            WarpContext &warp = cta.warps[w];
+        const auto can_issue = [&](std::uint64_t key) {
+            const VirtualCta &cta = ctas_[readySlot(key)];
+            const WarpContext &warp = cta.warps[readyWarp(key)];
             const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
-            const bool can_issue =
-                warp.readyAt() <= now &&
-                (!inst.isGlobalMem() || ldst_ok) &&
-                (!inst.isSharedMem() || shmem_ok);
+            const bool ready = warp.readyAt() <= now &&
+                               (!inst.isGlobalMem() || ldst_ok) &&
+                               (!inst.isSharedMem() || shmem_ok);
             if (warp.pendingOffChip() > 0) {
                 ++ready_offchip;
-                if (!can_issue)
-                    mem_blocked = true;
+                mem_blocked = mem_blocked || !ready;
             }
-            if (!can_issue)
-                continue;
-            if (!budgetAllows(inst, budgets))
-                continue;
-            const std::uint64_t ckey = cta.age * 256 + w;
-            cands_.push_back({ckey, ckey});
-            refs_.emplace_back(slot, w);
-            decodes_.push_back(&inst);
-        }
-        if (cands_.empty()) {
+            return ready && budgetAllows(inst, budgets);
+        };
+        const std::size_t chosen = schedulers_[s].select(ready_[s], can_issue);
+        if (chosen == ready_[s].size()) {
             chargeBubble(bubbleKind(s, mem_blocked, ready_offchip), 1);
             continue;
         }
-        const std::size_t chosen = schedulers_[s]->pick(cands_);
-        const auto [slot, w] = refs_[chosen];
-        const Instruction &inst = *decodes_[chosen];
+        const std::uint64_t key = ready_[s][chosen];
+        const VirtualCtaId slot = readySlot(key);
         VirtualCta &cta = ctas_[slot];
+        WarpContext &warp = cta.warps[readyWarp(key)];
+        const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
         chargeBudget(inst, budgets);
         ++stalls_.issued;
-        issueWarp(cta, slot, cta.warps[w], inst, now);
+        issueWarp(cta, slot, warp, inst, now);
     }
 
     // 5. DYNCTA-style throttling: feed this cycle's observation into the
@@ -488,8 +475,8 @@ SmCore::classifyIssueBubble(std::uint32_t scheduler, Cycle now) const
     bool mem_blocked = false;
     std::uint32_t ready_offchip = 0;
     for (const std::uint64_t key : ready_[scheduler]) {
-        const VirtualCta &cta = ctas_[key >> 8];
-        const WarpContext &warp = cta.warps[key & 0xff];
+        const VirtualCta &cta = ctas_[readySlot(key)];
+        const WarpContext &warp = cta.warps[readyWarp(key)];
         if (warp.pendingOffChip() == 0)
             continue;
         ++ready_offchip;
@@ -582,8 +569,8 @@ SmCore::computeNextEvent(Cycle now)
     // publishes it, a still-future readyAt re-enters the horizon here.)
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
         for (const std::uint64_t key : ready_[s]) {
-            const VirtualCta &cta = ctas_[key >> 8];
-            const WarpContext &warp = cta.warps[key & 0xff];
+            const VirtualCta &cta = ctas_[readySlot(key)];
+            const WarpContext &warp = cta.warps[readyWarp(key)];
             if (warp.readyAt() > now) {
                 next = std::min(next, warp.readyAt());
                 continue;
@@ -937,7 +924,7 @@ SmCore::refreshWarp(VirtualCtaId slot, std::uint32_t w)
     if (want == (cta.listed[w] != 0))
         return;
     std::vector<std::uint64_t> &list = ready_[warp.schedId()];
-    const std::uint64_t key = readyKey(slot, w);
+    const std::uint64_t key = readyKey(cta, slot, w);
     const auto it = std::lower_bound(list.begin(), list.end(), key);
     const std::uint32_t offchip = warp.pendingOffChip() > 0 ? 1 : 0;
     if (want) {
@@ -962,10 +949,10 @@ SmCore::rebuildReadyCounters()
     }
     for (const auto &list : ready_) {
         for (const std::uint64_t key : list) {
-            VirtualCta &cta = ctas_[key >> 8];
-            cta.listed[key & 0xff] = 1;
+            VirtualCta &cta = ctas_[readySlot(key)];
+            cta.listed[readyWarp(key)] = 1;
             ++cta.readyMembers;
-            if (cta.warps[key & 0xff].pendingOffChip() > 0)
+            if (cta.warps[readyWarp(key)].pendingOffChip() > 0)
                 ++cta.readyOffchip;
         }
     }
@@ -998,12 +985,12 @@ SmCore::onCtaIssuableChanged(VirtualCtaId id, bool issuable)
             refreshWarp(id, w);
     } else {
         // The CTA's keys form one contiguous range in every list.
-        const std::uint64_t lo = readyKey(id, 0);
+        const std::uint64_t lo = readyKey(cta, 0, 0);
+        const std::uint64_t hi = readyKey(cta, 0, 256);
         for (std::vector<std::uint64_t> &list : ready_) {
             const auto first =
                 std::lower_bound(list.begin(), list.end(), lo);
-            const auto last =
-                std::lower_bound(first, list.end(), lo + 256);
+            const auto last = std::lower_bound(first, list.end(), hi);
             list.erase(first, last);
         }
         std::fill(cta.listed.begin(), cta.listed.end(), 0);
@@ -1021,9 +1008,6 @@ SmCore::rebindGrid(GridId grid, const Kernel &kernel,
     grids_[grid].kernel = &kernel;
     grids_[grid].launch = &launch;
     gmem_ = &gmem;
-    cands_.reserve(config_.effMaxWarpsPerSm());
-    refs_.reserve(config_.effMaxWarpsPerSm());
-    decodes_.reserve(config_.effMaxWarpsPerSm());
     for (auto &list : ready_)
         list.reserve(config_.effMaxWarpsPerSm());
 }
@@ -1040,14 +1024,11 @@ SmCore::reset()
     if (throttler_)
         throttler_->reset();
     for (auto &sched : schedulers_)
-        sched->reset();
+        sched.reset();
     ctas_.clear();
     freeSlots_.clear();
     residentCount_ = 0;
     nextCtaAge_ = 0;
-    cands_.clear();
-    refs_.clear();
-    decodes_.clear();
     barrierScratch_.clear();
     for (auto &list : ready_)
         list.clear();
@@ -1107,9 +1088,18 @@ SmCore::save(Serializer &ser) const
     ser.putVec(freeSlots_);
     ser.put(residentCount_);
     ser.put(nextCtaAge_);
+    // Images carry each ready list as sorted (slot << 8) | w keys, the
+    // form that predates rank-ordered lists; restore() converts back.
     ser.put<std::uint64_t>(ready_.size());
-    for (const auto &list : ready_)
-        ser.putVec(list);
+    std::vector<std::uint64_t> image;
+    for (const auto &list : ready_) {
+        image.clear();
+        for (const std::uint64_t key : list)
+            image.push_back(std::uint64_t(readySlot(key)) << 8 |
+                            readyWarp(key));
+        std::sort(image.begin(), image.end());
+        ser.putVec(image);
+    }
     ser.putVec(schedAlive_);
     ser.putVec(schedFrozenAlive_);
     ser.putVec(schedIssuableBarrier_);
@@ -1145,7 +1135,7 @@ SmCore::save(Serializer &ser) const
     ser.put(replayCursor_);
     ser.put(replayBase_);
     for (const auto &sched : schedulers_)
-        sched->save(ser);
+        sched.save(ser);
     ser.endSection(sec);
     ldst_.save(ser);
     shmem_.save(ser);
@@ -1186,8 +1176,18 @@ SmCore::restore(Deserializer &des)
     const auto ready_count = des.get<std::uint64_t>();
     VTSIM_ASSERT(ready_count == ready_.size(),
                  "checkpoint scheduler count mismatch");
-    for (auto &list : ready_)
+    for (auto &list : ready_) {
         des.getVec(list);
+        for (std::uint64_t &key : list) {
+            const VirtualCtaId slot = key >> 8;
+            const std::uint32_t w = key & 0xff;
+            VTSIM_ASSERT(slot < ctas_.size() && ctas_[slot].valid &&
+                             w < ctas_[slot].warps.size(),
+                         "checkpoint ready list names a missing warp");
+            key = readyKey(ctas_[slot], slot, w);
+        }
+        std::sort(list.begin(), list.end());
+    }
     rebuildReadyCounters();
     des.getVec(schedAlive_);
     des.getVec(schedFrozenAlive_);
@@ -1225,7 +1225,7 @@ SmCore::restore(Deserializer &des)
     // a cross-process restore starts null and Gpu::replayTrace rebinds
     // it via resumeReplay().
     for (auto &sched : schedulers_)
-        sched->restore(des);
+        sched.restore(des);
     des.endSection();
     ldst_.restore(des);
     shmem_.restore(des);
@@ -1269,7 +1269,7 @@ SmCore::verifyReadySets() const
                              "listed flag diverged for warp ", w,
                              " of cta ", slot);
                 if (member) {
-                    expected.push_back(readyKey(slot, w));
+                    expected.push_back(readyKey(cta, slot, w));
                     ++members[slot];
                     members_offchip[slot] += warp.pendingOffChip() > 0;
                     VTSIM_ASSERT(warp.readyAt() <= now_, "ready warp ", w,
@@ -1285,6 +1285,7 @@ SmCore::verifyReadySets() const
             issuable_barrier += barrier;
             issuable_offchip += offchip;
         }
+        std::sort(expected.begin(), expected.end());
         VTSIM_ASSERT(expected == ready_[s],
                      "ready list diverged from full scan on sched ", s,
                      " (", ready_[s].size(), " vs ", expected.size(),

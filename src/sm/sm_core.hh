@@ -378,12 +378,17 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     void onExternalEvent();
 
     // --- Incremental ready sets --------------------------------------------
-    /** Packed ready-list key; ascending order == (slot, warp) order,
-     *  the order a scan of the resident CTAs visits warps in. Warp
-     *  indices fit 8 bits by the same argument as the schedulers'
-     *  age * 256 + w candidate keys. */
-    static std::uint64_t readyKey(VirtualCtaId slot, std::uint32_t w)
-    { return (std::uint64_t(slot) << 8) | w; }
+    /** Packed ready-list key: the scheduler rank age * 256 + w above the
+     *  CTA slot (WarpScheduler::payloadBits), so ascending order is the
+     *  order every policy ranks warps in and each CTA's keys form one
+     *  contiguous range. admitCta() checks the field widths. */
+    static std::uint64_t readyKey(const VirtualCta &cta, VirtualCtaId slot,
+                                  std::uint32_t w)
+    { return ((cta.age * 256 + w) << WarpScheduler::payloadBits) | slot; }
+    static VirtualCtaId readySlot(std::uint64_t key)
+    { return key & ((1u << WarpScheduler::payloadBits) - 1); }
+    static std::uint32_t readyWarp(std::uint64_t key)
+    { return WarpScheduler::rank(key) & 0xff; }
 
     /** The warp-local, time-invariant part of issuability: alive, not at
      *  the barrier, and no scoreboard hazard at its current PC. Combined
@@ -464,24 +469,18 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     std::uint32_t residentCount_ = 0;
     std::uint64_t nextCtaAge_ = 0;
 
-    std::vector<std::unique_ptr<WarpScheduler>> schedulers_;
+    std::vector<WarpScheduler> schedulers_;
 
-    // Issue-sweep scratch, reused across ticks to avoid reallocation.
-    std::vector<WarpCandidate> cands_;
-    std::vector<std::pair<VirtualCtaId, std::uint32_t>> refs_;
-    /** Candidates' decoded instructions, so the budget charge and the
-     *  issue itself reuse the sweep's kernel_->at(pc) lookup. */
-    std::vector<const Instruction *> decodes_;
     /** Scratch for barrier releases (avoids a vector per release). */
     std::vector<std::uint32_t> barrierScratch_;
 
     /**
-     * Per-scheduler ready lists: packed (slot, warp) keys, ascending.
+     * Per-scheduler ready lists: readyKey()s, ascending (oldest first).
      * A warp is listed iff its CTA is valid and Active and
      * warpReadyMember() holds — maintained incrementally at every
      * membership-changing transition (issue, writeback, load return,
      * barrier arrive/release, warp retirement, VT activation/swap) and
-     * consumed by the issue sweep, the bubble classifier and
+     * consumed by the issue walk, the bubble classifier and
      * nextEventCycle's warp term. See ARCHITECTURE.md "Issue-path data
      * structures" for the invariants.
      */
