@@ -1,11 +1,9 @@
 /**
  * @file
- * Compile-time member count of an aggregate: the largest N for which
- * T{x1, ..., xN} is well-formed, with each xi convertible to anything.
- * Unlike sizeof, it changes whenever a member is added or removed, even
- * one that lands in padding. Valid for aggregates of scalar members
- * (brace elision would count the elements of array or nested-aggregate
- * members instead).
+ * Compile-time member count of an aggregate of scalar members: the
+ * largest N for which T{x1, ..., xN} is well-formed. Unlike sizeof it
+ * changes with every member added or removed, even one that lands in
+ * padding.
  */
 
 #ifndef VTSIM_COMMON_AGGREGATE_ARITY_HH
@@ -15,23 +13,19 @@
 
 namespace vtsim {
 
-namespace detail {
-
-/** Converts to any member type; only ever named in unevaluated code. */
+/** Converts to any member type; only named in unevaluated code. */
 struct AnyMember
 {
     template <typename T>
     constexpr operator T() const noexcept;
 };
 
-} // namespace detail
-
 template <typename T, typename... Members>
 constexpr std::size_t
 aggregateArity()
 {
-    if constexpr (requires { T{Members{}..., detail::AnyMember{}}; })
-        return aggregateArity<T, Members..., detail::AnyMember>();
+    if constexpr (requires { T{Members{}..., AnyMember{}}; })
+        return aggregateArity<T, Members..., AnyMember>();
     else
         return sizeof...(Members);
 }

@@ -94,34 +94,23 @@ floatBits(float v)
     return std::isnan(v) ? 0x7fffffffu : std::bit_cast<std::uint32_t>(v);
 }
 
-/**
- * FMIN/FMAX, spelled out rather than std::fmin/fmax: a NaN operand
- * (quiet or signalling) yields the other operand, and -0 orders below
- * +0. IEEE 754 lets either zero be returned for a pair of zeros, and
- * C libraries differ on signalling NaNs.
- */
+/** FMIN/FMAX, spelled out rather than std::fmin/fmax (C libraries
+ *  differ on signalling NaNs): a NaN operand yields the other operand,
+ *  and -0 orders below +0, which IEEE 754 leaves open. */
 float
 fminOrdered(float a, float b)
 {
-    if (std::isnan(a))
-        return b;
-    if (std::isnan(b))
-        return a;
-    if (a == b)
-        return std::signbit(a) ? a : b;
-    return a < b ? a : b;
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) ? b : a;
+    return a < b || (a == b && std::signbit(a)) ? a : b;
 }
 
 float
 fmaxOrdered(float a, float b)
 {
-    if (std::isnan(a))
-        return b;
-    if (std::isnan(b))
-        return a;
-    if (a == b)
-        return std::signbit(a) ? b : a;
-    return a > b ? a : b;
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) ? b : a;
+    return a > b || (a == b && std::signbit(b)) ? a : b;
 }
 
 bool
