@@ -68,7 +68,7 @@ class LdstUnit : public MemResponseSink, public SimComponent
              LdstClient &client);
 
     /** Room for one more warp memory instruction's transactions?
-     *  Inline: checked on every memory-warp issue-sweep visit. Leaves
+     *  Inline: checked on every memory-warp issue-walk visit. Leaves
      *  room for a fully diverged instruction (32 transactions). */
     bool canAccept() const
     { return injectQueue_.size() + warpSize <= maxInjectQueue; }

@@ -37,7 +37,7 @@ class SimtStack
     /** True when every lane has exited. */
     bool done() const { return stack_.empty(); }
 
-    /** Current fetch PC. Inline: read on every issue-sweep visit. */
+    /** Current fetch PC. Inline: read on every issue-walk visit. */
     Pc pc() const
     {
         VTSIM_ASSERT(!stack_.empty(), "pc() on finished warp");

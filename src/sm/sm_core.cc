@@ -443,8 +443,8 @@ SmCore::tick(Cycle now)
     //    nextEventCycle(now + 1) minus its warp scan, which is provably
     //    empty here: readyAt is only ever set to cycle+1 at an issue or
     //    barrier release, so after a no-issue tick no live warp has
-    //    readyAt > now — and none could issue (the sweep found no
-    //    candidates; the one state that can flip by now + 1, the shared
+    //    readyAt > now — and none could issue (every scheduler's walk
+    //    found none; the one state that can flip by now + 1, the shared
     //    memory port, is covered by the portReadyAt term below).
     if (config_.fastForwardEnabled &&
         stalls_.issued == before_issue.issued) {

@@ -305,10 +305,11 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         std::vector<WarpContext> warps;
         /** Warp indices per scheduler slot — the (age * warps + w) %
          *  schedulers interleaving, precomputed once at admission so the
-         *  per-tick issue sweep visits each warp exactly once. */
+         *  ready-set oracle's full scan visits each warp exactly once. */
         std::vector<std::vector<std::uint32_t>> schedWarps;
-        /** Live warps per scheduler slot: lets the sweep classify frozen
-         *  or fully retired CTAs without visiting their warps. */
+        /** Live warps per scheduler slot: lets the bubble classifier
+         *  account for frozen or fully retired CTAs without visiting
+         *  their warps. */
         std::vector<std::uint32_t> aliveBySched;
         /** Live warps parked at the barrier, per scheduler slot. */
         std::vector<std::uint32_t> barrierBySched;
@@ -393,7 +394,7 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     /** The warp-local, time-invariant part of issuability: alive, not at
      *  the barrier, and no scoreboard hazard at its current PC. Combined
      *  with the CTA's Active state this is the ready-set membership
-     *  rule; readyAt and the structural ports stay sweep-time checks. */
+     *  rule; readyAt and the structural ports stay issue-time checks. */
     bool warpReadyMember(const VirtualCta &cta,
                          const WarpContext &warp) const
     {
