@@ -19,7 +19,8 @@ BENCHMARK.json:
     difference larger than the base's interquartile range;
   - the bound check: the change's median worse than the base's by more
     than the metric's BENCHMARK.json bound (a fraction) is a FAIL; a
-    side whose interquartile range exceeds the bound is "unresolved".
+    side whose interquartile range exceeds the bound is "unresolved",
+    unless every change run reads better than every base run.
 
 Exits 1 if a run fails, reports wrong results, or breaks a bound.
 Nothing under vtbench/ is changed. Standard library only.
@@ -90,9 +91,11 @@ def compare(metric, base, change):
                  (c3 - c1) / abs(cmed) if cmed else 0.0)
     n = len(base)
     rule = wins >= 0.9 * n and abs(delta) > (b3 - b1)
+    all_better = (max(change) < min(base)) if lower else \
+        (min(change) > max(base))
     if worse:
         verdict = "FAIL bound"
-    elif spread > bound:
+    elif spread > bound and not all_better:
         verdict = "unresolved"
     elif ties == n:
         verdict = "identical"
