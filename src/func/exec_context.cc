@@ -229,7 +229,7 @@ hUnary(const MicroOp &u, MicroCtx &ctx)
             const float x = asFloat(a);
             v = floatBits(x != 0.0f ? 1.0f / x : 0.0f);
         } else if constexpr (Op == Opcode::FSQRT) {
-            v = floatBits(std::sqrt(std::fmax(asFloat(a), 0.0f)));
+            v = floatBits(std::sqrt(fmaxOrdered(asFloat(a), 0.0f)));
         } else if constexpr (Op == Opcode::FEXP) {
             v = floatBits(std::exp(asFloat(a)));
         } else {

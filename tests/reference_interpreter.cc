@@ -218,7 +218,7 @@ referenceExecute(const Instruction &inst, std::uint32_t warp_in_cta,
             break;
           }
           case Opcode::FSQRT:
-            wr(asBits(std::sqrt(std::fmax(asFloat(rd(0)), 0.0f))));
+            wr(asBits(std::sqrt(maxFloat(asFloat(rd(0)), 0.0f))));
             break;
           case Opcode::FEXP: wr(asBits(std::exp(asFloat(rd(0))))); break;
           case Opcode::FLOG: {

@@ -185,12 +185,15 @@ TEST_F(OpSemantics, FloatOpsMatchReferenceOnRandomPairs)
 }
 
 /** Where IEEE 754 leaves the result bits open, vtsim fixes them: every
- *  NaN result is 0x7fffffff and fmin/fmax order -0 below +0. */
+ *  NaN result is 0x7fffffff, fmin/fmax order -0 below +0 and take the
+ *  other operand of any NaN, quiet or signalling, and FSQRT clamps a
+ *  NaN or -0 operand to +0. */
 TEST_F(OpSemantics, FloatCornersAreCanonical)
 {
     const std::uint32_t pinf = 0x7f800000u, ninf = 0xff800000u;
     const std::uint32_t pzero = 0, nzero = 0x80000000u;
     const std::uint32_t nan_a = 0xffc00001u, nan_b = 0x7fc00002u;
+    const std::uint32_t snan = 0x7f800001u;
     const std::uint32_t one = std::bit_cast<std::uint32_t>(1.0f);
     const std::uint32_t canonical = 0x7fffffffu;
     struct Corner
@@ -207,6 +210,10 @@ TEST_F(OpSemantics, FloatCornersAreCanonical)
         {"fmax zeros", Opcode::FMAX, nzero, pzero, pzero},
         {"fmin nan,nan", Opcode::FMIN, nan_b, nan_a, canonical},
         {"fmax nan,1", Opcode::FMAX, nan_a, one, one},
+        {"fmax snan,1", Opcode::FMAX, snan, one, one},
+        // FSQRT is unary: both operand orders put a NaN or a -0 in src 0.
+        {"fsqrt snan", Opcode::FSQRT, snan, nan_a, pzero},
+        {"fsqrt -0", Opcode::FSQRT, nzero, ninf, pzero},
     };
     for (const Corner &c : corners) {
         const OpCase op{c.name, c.op,
