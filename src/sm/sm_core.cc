@@ -247,10 +247,9 @@ SmCore::admitCta(const CtaAssignment &assignment, Cycle now, GridId grid)
                   kernel.regsPerThread(), kernel.sharedBytesPerCta());
 
     const std::uint32_t warps = launch.warpsPerCta();
-    VTSIM_ASSERT(slot < (1u << WarpScheduler::payloadBits) && warps <= 256 &&
-                     cta.age < (1ull << (64 - WarpScheduler::payloadBits - 8)),
-                 "ready-list key fields overflow at CTA slot ", slot);
     cta.warps.assign(warps, WarpContext());
+    VTSIM_ASSERT(readyKeyFits(cta, slot),
+                 "ready-list key fields overflow at CTA slot ", slot);
     cta.listed.assign(warps, 0);
     cta.readyMembers = 0;
     cta.readyOffchip = 0;
@@ -1151,7 +1150,8 @@ SmCore::restore(Deserializer &des)
     des.beginSection("smcr");
     const auto cta_count = des.get<std::uint64_t>();
     ctas_.assign(cta_count, VirtualCta());
-    for (VirtualCta &cta : ctas_) {
+    for (VirtualCtaId slot = 0; slot < cta_count; ++slot) {
+        VirtualCta &cta = ctas_[slot];
         des.get(cta.valid);
         des.get(cta.grid);
         des.get(cta.age);
@@ -1169,6 +1169,8 @@ SmCore::restore(Deserializer &des)
         des.getVec(cta.offchipBySched);
         des.get(cta.warpsAlive);
         des.get(cta.pendingOffChipTotal);
+        VTSIM_ASSERT(!cta.valid || readyKeyFits(cta, slot), "checkpoint CTA ",
+                     slot, " overflows the ready-list key fields");
     }
     des.getVec(freeSlots_);
     des.get(residentCount_);

@@ -382,10 +382,17 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     /** Packed ready-list key: the scheduler rank age * 256 + w above the
      *  CTA slot (WarpScheduler::payloadBits), so ascending order is the
      *  order every policy ranks warps in and each CTA's keys form one
-     *  contiguous range. admitCta() checks the field widths. */
+     *  contiguous range. admitCta() and restore() check readyKeyFits(). */
     static std::uint64_t readyKey(const VirtualCta &cta, VirtualCtaId slot,
                                   std::uint32_t w)
     { return ((cta.age * 256 + w) << WarpScheduler::payloadBits) | slot; }
+    /** Whether readyKey() encodes every warp of @p cta at @p slot. */
+    static bool readyKeyFits(const VirtualCta &cta, VirtualCtaId slot)
+    {
+        return slot < (1u << WarpScheduler::payloadBits) &&
+               cta.warps.size() <= 256 &&
+               cta.age < (1ull << (64 - WarpScheduler::payloadBits - 8));
+    }
     static VirtualCtaId readySlot(std::uint64_t key)
     { return key & ((1u << WarpScheduler::payloadBits) - 1); }
     static std::uint32_t readyWarp(std::uint64_t key)

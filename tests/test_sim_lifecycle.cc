@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -223,6 +224,44 @@ TEST(Checkpoint, RejectsGarbageFiles)
 // ---------------------------------------------------------------------------
 // verifyHorizon oracle: a fast-forward may never skip real work.
 // ---------------------------------------------------------------------------
+
+/** A CTA age too wide for the ready-list key must stop the restore,
+ *  not alias another CTA's keys. */
+TEST(CheckpointDeathTest, RejectsCtaAgeBeyondReadyKey)
+{
+    const GpuConfig cfg = smallConfig();
+    Gpu probe(cfg);
+    const Cycle total = launchOn(probe, "bfs").cycles;
+    const std::string path = test::uniqueTempPath("ckpt_wide_age");
+    {
+        Gpu gpu(cfg);
+        gpu.setCheckpoint(path, total / 2 + 1); // One write, mid-kernel.
+        launchOn(gpu, "bfs");
+    }
+    std::string image = readFile(path);
+
+    // An "smcr" section opens with its tag, a u32 length and the u64
+    // CTA count; CTA 0 follows as bool valid, u32 grid, u64 age. Add
+    // 2^32 to the age of the first valid CTA 0.
+    bool patched = false;
+    for (std::size_t at = image.find("smcr");
+         at != std::string::npos && !patched; at = image.find("smcr", at + 4)) {
+        std::uint64_t ctas = 0;
+        image.copy(reinterpret_cast<char *>(&ctas), sizeof(ctas), at + 8);
+        if (ctas > 0 && image[at + 16] == 1) {
+            image[at + 16 + 1 + 4 + 4] ^= 1;
+            patched = true;
+        }
+    }
+    ASSERT_TRUE(patched);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << image;
+    }
+    EXPECT_DEATH(Gpu(cfg).restoreCheckpoint(path),
+                 "overflows the ready-list key");
+    std::remove(path.c_str());
+}
 
 TEST(HorizonOracle, HoldsAcrossMachinesAndWorkloads)
 {
