@@ -2,12 +2,12 @@
 """Compare vtbench end-to-end metrics of a base commit and this checkout.
 
     python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10
-    python3 scripts/bench_pairs.py --base-tree /path/to/old/checkout \\
-        --workloads fig3_seq --pairs 10 --seed 7 --json pairs.json
+    python3 scripts/bench_pairs.py --base HEAD~1 --workloads fig3_seq \\
+        --pairs 10 --seed 7
 
 The base commit is exported with `git archive` into a temporary directory
-(or taken as is from --base-tree), so the repository's .git is never
-touched. Each side runs its own vtbench/run.py, which builds that side's
+that is removed afterwards, so the repository's .git is never touched.
+Each side runs its own vtbench/run.py, which builds that side's
 sources into its own .bench_build. After one discarded warm-up run per
 side and workload, the script runs N pairs per workload, alternating
 which side goes first, and prints for every end-to-end metric in
@@ -112,25 +112,18 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    src = ap.add_mutually_exclusive_group()
-    src.add_argument("--base", default="HEAD~1",
-                     help="git ref of the base side (default HEAD~1)")
-    src.add_argument("--base-tree",
-                     help="use this checkout as the base side instead")
+    ap.add_argument("--base", default="HEAD~1",
+                    help="git ref of the base side (default HEAD~1)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workloads", nargs="+",
                     default=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--json", help="also write every run's metrics here")
-    ap.add_argument("--keep", action="store_true",
-                    help="keep the exported base tree (path on stderr)")
     args = ap.parse_args()
 
-    base_tree = args.base_tree or export_tree(args.base)
-    print("base: %s   change: %s" % (args.base_tree or args.base, ROOT),
-          file=sys.stderr)
-    sides = {"base": os.path.abspath(base_tree), "change": ROOT}
+    base_tree = export_tree(args.base)
+    print("base: %s   change: %s" % (args.base, ROOT), file=sys.stderr)
+    sides = {"base": base_tree, "change": ROOT}
     runs = {}
     failed = False
     try:
@@ -160,14 +153,7 @@ def main():
                 print(row)
                 failed = failed or worse
     finally:
-        if args.json:
-            with open(args.json, "w") as f:
-                json.dump(runs, f, indent=1)
-        if not args.base_tree:
-            if args.keep:
-                print("base tree kept at " + base_tree, file=sys.stderr)
-            else:
-                shutil.rmtree(base_tree, ignore_errors=True)
+        shutil.rmtree(base_tree, ignore_errors=True)
     sys.exit(1 if failed else 0)
 
 

@@ -153,12 +153,6 @@ restoreConfig(Deserializer &des)
 
 } // namespace
 
-std::size_t
-checkpointedConfigFields()
-{
-    return configFieldVisits() - retiredConfigFields;
-}
-
 std::string
 toString(SharePolicy policy)
 {

@@ -104,11 +104,6 @@ enum class SharePolicy : std::uint8_t
     Preempt = 2,
 };
 
-/** GpuConfig members a checkpoint's "conf" section carries, retired
- *  placeholder bytes excluded; the build checks it equals the member
- *  count of GpuConfig. */
-std::size_t checkpointedConfigFields();
-
 std::string toString(SharePolicy policy);
 /** Parse "spatial" / "vt-fill" / "preempt". False on anything else. */
 bool parseSharePolicy(const std::string &name, SharePolicy &out);

@@ -11,7 +11,6 @@
 #include "common/log.hh"
 #include "config/gpu_config.hh"
 #include "config/sim_mode.hh"
-#include "gpu/gpu.hh"
 
 namespace vtsim {
 namespace {
@@ -28,13 +27,6 @@ TEST(GpuConfig, AggregateArityCountsMembers)
     struct Empty
     {};
     static_assert(aggregateArity<Empty>() == 0);
-}
-
-/** Every GpuConfig member is checkpointed: a member added without a
- *  configFields() line changes the arity but not the visit count. */
-TEST(GpuConfig, CheckpointCarriesEveryMember)
-{
-    EXPECT_EQ(checkpointedConfigFields(), aggregateArity<GpuConfig>());
 }
 
 TEST(GpuConfig, PresetsValidate)
