@@ -20,8 +20,48 @@ CtaFuncState::init(std::uint64_t linear_cta_id, Dim3 cta_idx,
     ctaIdx = cta_idx;
     threadsPerCta = threads_per_cta;
     regsPerThread = regs_per_thread;
-    regs.assign(std::size_t(threads_per_cta) * regs_per_thread, 0);
+    regs.assign(std::size_t(ceilDiv(threads_per_cta, warpSize)) *
+                    regs_per_thread * warpSize,
+                0);
     shared.assign(shared_bytes, 0);
+}
+
+void
+CtaFuncState::save(Serializer &ser) const
+{
+    ser.put(linearCtaId);
+    ser.put(ctaIdx);
+    std::vector<std::uint32_t> image(std::size_t(threadsPerCta) *
+                                     regsPerThread);
+    for (std::uint32_t t = 0; t < threadsPerCta; ++t)
+        for (std::uint32_t r = 0; r < regsPerThread; ++r)
+            image[std::size_t(t) * regsPerThread + r] = regs[regIndex(t, r)];
+    ser.putVec(image);
+    ser.putVec(shared);
+    ser.put(regsPerThread);
+    ser.put(threadsPerCta);
+}
+
+void
+CtaFuncState::restore(Deserializer &des)
+{
+    des.get(linearCtaId);
+    des.get(ctaIdx);
+    std::vector<std::uint32_t> image;
+    des.getVec(image);
+    des.getVec(shared);
+    des.get(regsPerThread);
+    des.get(threadsPerCta);
+    VTSIM_ASSERT(image.size() == std::size_t(threadsPerCta) * regsPerThread,
+                 "checkpoint register image of ", image.size(),
+                 " words does not match ", threadsPerCta, " threads x ",
+                 regsPerThread, " registers");
+    regs.assign(std::size_t(ceilDiv(threadsPerCta, warpSize)) *
+                    regsPerThread * warpSize,
+                0);
+    for (std::uint32_t t = 0; t < threadsPerCta; ++t)
+        for (std::uint32_t r = 0; r < regsPerThread; ++r)
+            regs[regIndex(t, r)] = image[std::size_t(t) * regsPerThread + r];
 }
 
 std::uint32_t
@@ -175,13 +215,28 @@ readSpecial(SpecialReg sreg, std::uint32_t thread, std::uint32_t lane,
 // handler against a per-lane opcode-switch reference interpreter.
 // ---------------------------------------------------------------------
 
+/** One lane's view of its warp's registers: r[reg] is the lane's copy
+ *  of register reg, 32 words from the next register's. */
+struct LaneRegs
+{
+    std::uint32_t *p;
+    std::uint32_t &operator[](RegIndex reg) const
+    { return p[std::size_t(reg) * warpSize]; }
+};
+
 /** Visit every live lane: active in the mask and inside the CTA. The
  *  thread id ascends with the lane, so the first out-of-CTA lane ends
- *  the walk. @p fn receives (lane, thread, reg base pointer). */
+ *  the walk. @p fn receives (lane, thread, lane register view). */
 template <typename Fn>
 inline void
 forLanes(const MicroCtx &ctx, Fn &&fn)
 {
+    if (ctx.mask == ~0u && ctx.baseThread + warpSize <= ctx.threadsPerCta) {
+        // Full warp wholly inside the CTA: a plain loop GCC vectorizes.
+        for (std::uint32_t lane = 0; lane < warpSize; ++lane)
+            fn(lane, ctx.baseThread + lane, LaneRegs{ctx.regs + lane});
+        return;
+    }
     std::uint32_t bits = ctx.mask;
     while (bits) {
         const std::uint32_t lane = std::countr_zero(bits);
@@ -189,8 +244,7 @@ forLanes(const MicroCtx &ctx, Fn &&fn)
         const std::uint32_t thread = ctx.baseThread + lane;
         if (thread >= ctx.threadsPerCta)
             return; // Partial tail warp: lanes beyond the CTA are dead.
-        fn(lane, thread,
-           ctx.regs + std::size_t(thread) * ctx.regsPerThread);
+        fn(lane, thread, LaneRegs{ctx.regs + lane});
     }
 }
 
@@ -203,7 +257,7 @@ hNothing(const MicroOp &, MicroCtx &)
 void
 hMovi(const MicroOp &u, MicroCtx &ctx)
 {
-    forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
+    forLanes(ctx, [&](std::uint32_t, std::uint32_t, LaneRegs r) {
         r[u.dst] = u.imm;
     });
 }
@@ -213,7 +267,7 @@ template <Opcode Op>
 void
 hUnary(const MicroOp &u, MicroCtx &ctx)
 {
-    forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
+    forLanes(ctx, [&](std::uint32_t, std::uint32_t, LaneRegs r) {
         const std::uint32_t a = r[u.src0];
         std::uint32_t v;
         if constexpr (Op == Opcode::MOV) {
@@ -247,7 +301,7 @@ template <Opcode Op, bool UseImm>
 void
 hAlu(const MicroOp &u, MicroCtx &ctx)
 {
-    forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
+    forLanes(ctx, [&](std::uint32_t, std::uint32_t, LaneRegs r) {
         const std::uint32_t a = r[u.src0];
         const std::uint32_t b = UseImm ? u.imm : r[u.src1];
         std::uint32_t v;
@@ -310,7 +364,7 @@ hAlu(const MicroOp &u, MicroCtx &ctx)
 void
 hImad(const MicroOp &u, MicroCtx &ctx)
 {
-    forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
+    forLanes(ctx, [&](std::uint32_t, std::uint32_t, LaneRegs r) {
         r[u.dst] = r[u.src0] * r[u.src1] + r[u.src2];
     });
 }
@@ -318,7 +372,7 @@ hImad(const MicroOp &u, MicroCtx &ctx)
 void
 hFfma(const MicroOp &u, MicroCtx &ctx)
 {
-    forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
+    forLanes(ctx, [&](std::uint32_t, std::uint32_t, LaneRegs r) {
         r[u.dst] = floatBits(asFloat(r[u.src0]) * asFloat(r[u.src1]) +
                           asFloat(r[u.src2]));
     });
@@ -327,7 +381,7 @@ hFfma(const MicroOp &u, MicroCtx &ctx)
 void
 hSel(const MicroOp &u, MicroCtx &ctx)
 {
-    forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
+    forLanes(ctx, [&](std::uint32_t, std::uint32_t, LaneRegs r) {
         r[u.dst] = r[u.src2] ? r[u.src0] : r[u.src1];
     });
 }
@@ -336,7 +390,7 @@ template <bool Fp, bool UseImm, CmpOp Cmp>
 void
 hSetp(const MicroOp &u, MicroCtx &ctx)
 {
-    forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
+    forLanes(ctx, [&](std::uint32_t, std::uint32_t, LaneRegs r) {
         const std::uint32_t a = r[u.src0];
         const std::uint32_t b = UseImm ? u.imm : r[u.src1];
         bool taken;
@@ -354,7 +408,7 @@ void
 hS2r(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t thread,
-                      std::uint32_t *r) {
+                      LaneRegs r) {
         r[u.dst] = readSpecial(S, thread, lane, ctx.warpInCta,
                                ctx.cta->ctaIdx, *ctx.launch);
     });
@@ -363,7 +417,7 @@ hS2r(const MicroOp &u, MicroCtx &ctx)
 void
 hLdp(const MicroOp &u, MicroCtx &ctx)
 {
-    forLanes(ctx, [&](std::uint32_t, std::uint32_t, std::uint32_t *r) {
+    forLanes(ctx, [&](std::uint32_t, std::uint32_t, LaneRegs r) {
         VTSIM_ASSERT(u.imm < ctx.launch->params.size(),
                      "LDP index ", u.imm, " out of range");
         r[u.dst] = ctx.launch->params[u.imm];
@@ -374,7 +428,7 @@ void
 hLdg(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t,
-                      std::uint32_t *r) {
+                      LaneRegs r) {
         // 32-bit address arithmetic (wraps), then zero-extend.
         const Addr addr = std::uint32_t(r[u.src0] + u.imm);
         const std::uint32_t v = ctx.gmem->read32(addr);
@@ -387,7 +441,7 @@ void
 hStg(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t,
-                      std::uint32_t *r) {
+                      LaneRegs r) {
         const Addr addr = std::uint32_t(r[u.src0] + u.imm);
         const std::uint32_t v = r[u.src1];
         ctx.gmem->write32(addr, v);
@@ -399,7 +453,7 @@ void
 hAtomgAdd(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t,
-                      std::uint32_t *r) {
+                      LaneRegs r) {
         const Addr addr = std::uint32_t(r[u.src0] + u.imm);
         const std::uint32_t add = r[u.src1];
         const std::uint32_t old = ctx.gmem->read32(addr);
@@ -413,7 +467,7 @@ void
 hLds(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t,
-                      std::uint32_t *r) {
+                      LaneRegs r) {
         const std::uint32_t addr = r[u.src0] + u.imm;
         r[u.dst] = ctx.cta->readShared32(addr);
         ctx.out->sharedAccesses.push_back({lane, addr});
@@ -424,7 +478,7 @@ void
 hSts(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t,
-                      std::uint32_t *r) {
+                      LaneRegs r) {
         const std::uint32_t addr = r[u.src0] + u.imm;
         ctx.cta->writeShared32(addr, r[u.src1]);
         ctx.out->sharedAccesses.push_back({lane, addr});
@@ -435,7 +489,7 @@ void
 hBraAll(const MicroOp &, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t,
-                      std::uint32_t *) {
+                      LaneRegs) {
         ctx.out->branchTaken.set(lane);
     });
 }
@@ -444,7 +498,7 @@ void
 hBraCond(const MicroOp &u, MicroCtx &ctx)
 {
     forLanes(ctx, [&](std::uint32_t lane, std::uint32_t,
-                      std::uint32_t *r) {
+                      LaneRegs r) {
         if (r[u.src0] != 0)
             ctx.out->branchTaken.set(lane);
     });
@@ -590,8 +644,7 @@ executeMicroInto(const MicroProgram &prog, Pc pc,
     out.sharedAccesses.clear();
     VTSIM_ASSERT(pc < prog.size(), "micro pc ", pc, " out of range");
     const MicroOp &u = prog[pc];
-    MicroCtx ctx{cta.regs.data(),
-                 cta.regsPerThread,
+    MicroCtx ctx{cta.regs.data() + cta.regIndex(warp_in_cta * warpSize, 0),
                  warp_in_cta * warpSize,
                  cta.threadsPerCta,
                  mask.bits(),

@@ -40,7 +40,11 @@ struct CtaFuncState
     std::uint64_t linearCtaId = 0;
     /** 3-D CTA index. */
     Dim3 ctaIdx;
-    /** Register file slice: thread-major, regs_per_thread per thread. */
+    /**
+     * Register file slice, warp-major: register r of thread t lives at
+     * ((t / 32 * regsPerThread + r) * 32) + t % 32, so one register of a
+     * warp is 32 consecutive words. The tail warp is padded to 32 lanes.
+     */
     std::vector<std::uint32_t> regs;
     /** Shared-memory bytes for this CTA. */
     std::vector<std::uint8_t> shared;
@@ -51,43 +55,34 @@ struct CtaFuncState
               std::uint32_t threads_per_cta, std::uint32_t regs_per_thread,
               std::uint32_t shared_bytes);
 
+    std::size_t
+    regIndex(std::uint32_t thread, std::uint32_t reg) const
+    {
+        return (std::size_t(thread / warpSize) * regsPerThread + reg) *
+                   warpSize +
+               thread % warpSize;
+    }
+
     std::uint32_t
     readReg(std::uint32_t thread, RegIndex reg) const
     {
-        return regs[std::size_t(thread) * regsPerThread + reg];
+        return regs[regIndex(thread, reg)];
     }
 
     void
     writeReg(std::uint32_t thread, RegIndex reg, std::uint32_t value)
     {
-        regs[std::size_t(thread) * regsPerThread + reg] = value;
+        regs[regIndex(thread, reg)] = value;
     }
 
     std::uint32_t readShared32(std::uint32_t byte_addr) const;
     void writeShared32(std::uint32_t byte_addr, std::uint32_t value);
 
-    // Checkpoint plumbing (driven by the owning SmCore).
-    void
-    save(Serializer &ser) const
-    {
-        ser.put(linearCtaId);
-        ser.put(ctaIdx);
-        ser.putVec(regs);
-        ser.putVec(shared);
-        ser.put(regsPerThread);
-        ser.put(threadsPerCta);
-    }
-
-    void
-    restore(Deserializer &des)
-    {
-        des.get(linearCtaId);
-        des.get(ctaIdx);
-        des.getVec(regs);
-        des.getVec(shared);
-        des.get(regsPerThread);
-        des.get(threadsPerCta);
-    }
+    // Checkpoint plumbing (driven by the owning SmCore). Images carry the
+    // registers thread-major (regsPerThread words per thread, no
+    // padding), the layout that predates the warp-major file.
+    void save(Serializer &ser) const;
+    void restore(Deserializer &des);
 };
 
 /** One lane's memory access, handed to the coalescer / bank model. */

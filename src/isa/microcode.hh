@@ -35,13 +35,13 @@ struct MicroOp;
 
 /**
  * Everything a micro-op handler touches, gathered once per issue.
- * Register access goes through the raw pointer + stride rather than
- * CtaFuncState::readReg so the lane loop indexes a local base pointer.
+ * Register access goes through the warp's base pointer rather than
+ * CtaFuncState::readReg: the file is warp-major, so register r of lane
+ * l is regs[r * warpSize + l] and a full-warp lane loop is unit-stride.
  */
 struct MicroCtx
 {
-    std::uint32_t *regs;          ///< cta.regs.data()
-    std::uint32_t regsPerThread;  ///< register-file stride per thread
+    std::uint32_t *regs;          ///< this warp's block of cta.regs
     std::uint32_t baseThread;     ///< warpInCta * warpSize
     std::uint32_t threadsPerCta;  ///< lanes at/after this are dead
     std::uint32_t mask;           ///< active-lane bits

@@ -142,8 +142,11 @@ firstDiff(const std::vector<std::uint32_t> &a,
 {
     for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
         if (a[i] != b[i]) {
-            return "thread " + std::to_string(i / kRegs) + " r" +
-                   std::to_string(i % kRegs) + ": micro " +
+            // The file is warp-major: 32 lanes of one register in a row.
+            const std::size_t row = i / warpSize;
+            return "thread " +
+                   std::to_string(row / kRegs * warpSize + i % warpSize) +
+                   " r" + std::to_string(row % kRegs) + ": micro " +
                    std::to_string(a[i]) + ", reference " +
                    std::to_string(b[i]);
         }
