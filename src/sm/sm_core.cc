@@ -370,11 +370,13 @@ SmCore::tick(Cycle now)
     }
 
     // 2. ALU/SFU/shared writebacks that mature this cycle.
-    while (!wbQueue_.empty() && wbQueue_.top().at <= now) {
-        const Writeback wb = wbQueue_.top();
-        wbQueue_.pop();
-        ctas_[wb.vcta].warps[wb.warpInCta].scoreboard().release(wb.reg);
-        refreshWarp(wb.vcta, wb.warpInCta);
+    for (std::deque<Writeback> &fifo : wbFifos_) {
+        while (!fifo.empty() && fifo.front().at <= now) {
+            const Writeback wb = fifo.front();
+            fifo.pop_front();
+            ctas_[wb.vcta].warps[wb.warpInCta].scoreboard().release(wb.reg);
+            refreshWarp(wb.vcta, wb.warpInCta);
+        }
     }
 
     // 3. Virtual Thread state machine: swap completions and decisions,
@@ -447,9 +449,8 @@ SmCore::tick(Cycle now)
     //    memory port, is covered by the portReadyAt term below).
     if (config_.fastForwardEnabled &&
         stalls_.issued == before_issue.issued) {
-        Cycle next = ldst_.nextEventCycle(now + 1);
-        if (!wbQueue_.empty())
-            next = std::min(next, std::max(now + 1, wbQueue_.top().at));
+        Cycle next = std::min(ldst_.nextEventCycle(now + 1),
+                              std::max(now + 1, nextWriteback()));
         if (shmem_.portReadyAt() > now)
             next = std::min(next, shmem_.portReadyAt());
         if (throttler_)
@@ -465,6 +466,27 @@ SmCore::tick(Cycle now)
     } else {
         ffHorizon_ = 0;
     }
+}
+
+void
+SmCore::pushWriteback(std::size_t src, const Writeback &wb)
+{
+    std::deque<Writeback> &fifo = wbFifos_[src];
+    auto it = fifo.end();
+    while (it != fifo.begin() && std::prev(it)->at > wb.at)
+        --it;
+    fifo.insert(it, wb);
+}
+
+Cycle
+SmCore::nextWriteback() const
+{
+    Cycle next = neverCycle;
+    for (const std::deque<Writeback> &fifo : wbFifos_) {
+        if (!fifo.empty())
+            next = std::min(next, fifo.front().at);
+    }
+    return next;
 }
 
 SmCore::BubbleKind
@@ -545,9 +567,8 @@ SmCore::nextEventCycleFresh(Cycle now)
 Cycle
 SmCore::computeNextEvent(Cycle now)
 {
-    Cycle next = ldst_.nextEventCycle(now);
-    if (!wbQueue_.empty())
-        next = std::min(next, std::max(now, wbQueue_.top().at));
+    Cycle next =
+        std::min(ldst_.nextEventCycle(now), std::max(now, nextWriteback()));
     if (shmem_.portReadyAt() > now)
         next = std::min(next, shmem_.portReadyAt());
     if (throttler_)
@@ -696,7 +717,8 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
                                           : config_.aluLatency;
         if (inst.hasDst()) {
             warp.scoreboard().reserve(inst.dst, false);
-            wbQueue_.push({now + latency, slot, w, inst.dst});
+            pushWriteback(inst.funcUnit() == FuncUnit::Sfu,
+                          {now + latency, slot, w, inst.dst});
         }
         warp.stack().advance();
         break;
@@ -712,7 +734,7 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
             const Cycle done = shmem_.access(passes, now);
             if (inst.hasDst()) {
                 warp.scoreboard().reserve(inst.dst, false);
-                wbQueue_.push({done, slot, w, inst.dst});
+                pushWriteback(2, {done, slot, w, inst.dst});
             }
         } else if (!res.globalAccesses.empty()) {
             if (inst.hasDst())
@@ -804,7 +826,8 @@ SmCore::finishCta(VirtualCtaId slot, Cycle now)
 bool
 SmCore::idle() const
 {
-    return residentCount_ == 0 && ldst_.idle() && wbQueue_.empty() &&
+    return residentCount_ == 0 && ldst_.idle() &&
+           nextWriteback() == neverCycle &&
            (!replayMode_ || replayCursor_ == replay_->size());
 }
 
@@ -1035,7 +1058,8 @@ SmCore::reset()
     schedFrozenAlive_.assign(config_.numSchedulers, 0);
     schedIssuableBarrier_.assign(config_.numSchedulers, 0);
     schedIssuableOffchip_.assign(config_.numSchedulers, 0);
-    wbQueue_ = {};
+    for (std::deque<Writeback> &fifo : wbFifos_)
+        fifo.clear();
     now_ = 0;
     lastBusy_ = neverCycle;
     maxSimtDepth_ = 0;
@@ -1103,15 +1127,16 @@ SmCore::save(Serializer &ser) const
     ser.putVec(schedFrozenAlive_);
     ser.putVec(schedIssuableBarrier_);
     ser.putVec(schedIssuableOffchip_);
-    auto wbs = wbQueue_;
+    std::vector<Writeback> wbs;
+    for (const std::deque<Writeback> &fifo : wbFifos_)
+        wbs.insert(wbs.end(), fifo.begin(), fifo.end());
+    std::sort(wbs.begin(), wbs.end());
     ser.put<std::uint64_t>(wbs.size());
-    while (!wbs.empty()) {
-        const Writeback &wb = wbs.top();
+    for (const Writeback &wb : wbs) {
         ser.put(wb.at);
         ser.put(wb.vcta);
         ser.put(wb.warpInCta);
         ser.put(wb.reg);
-        wbs.pop();
     }
     ser.put(now_);
     ser.put(maxSimtDepth_);
@@ -1195,7 +1220,10 @@ SmCore::restore(Deserializer &des)
     des.getVec(schedFrozenAlive_);
     des.getVec(schedIssuableBarrier_);
     des.getVec(schedIssuableOffchip_);
-    wbQueue_ = {};
+    // The image does not say which source an entry came from: all go to
+    // the first FIFO, and pushWriteback() keeps it sorted from then on.
+    for (std::deque<Writeback> &fifo : wbFifos_)
+        fifo.clear();
     const auto wb_count = des.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < wb_count; ++i) {
         Writeback wb;
@@ -1203,7 +1231,7 @@ SmCore::restore(Deserializer &des)
         des.get(wb.vcta);
         des.get(wb.warpInCta);
         des.get(wb.reg);
-        wbQueue_.push(wb);
+        pushWriteback(0, wb);
     }
     des.get(now_);
     des.get(maxSimtDepth_);

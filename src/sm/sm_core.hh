@@ -9,8 +9,9 @@
 #define VTSIM_SM_SM_CORE_HH
 
 #include <array>
+#include <deque>
 #include <memory>
-#include <queue>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -507,21 +508,26 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         VirtualCtaId vcta;
         std::uint32_t warpInCta;
         RegIndex reg;
-        /** Total order (see LdstUnit::HitCompletion): same-cycle ties
-         *  must pop identically in a checkpoint-restored run. */
-        bool operator>(const Writeback &o) const
+        /** The image order: save() writes entries sorted by it. */
+        bool operator<(const Writeback &o) const
         {
-            if (at != o.at)
-                return at > o.at;
-            if (vcta != o.vcta)
-                return vcta > o.vcta;
-            if (warpInCta != o.warpInCta)
-                return warpInCta > o.warpInCta;
-            return reg > o.reg;
+            return std::tie(at, vcta, warpInCta, reg) <
+                   std::tie(o.at, o.vcta, o.warpInCta, o.reg);
         }
     };
-    std::priority_queue<Writeback, std::vector<Writeback>,
-                        std::greater<>> wbQueue_;
+    /**
+     * ALU/SFU/shared-memory writebacks in flight, one FIFO per source.
+     * Each source matures in issue order (fixed latencies; the shared
+     * port only moves forward), so every FIFO is sorted by `at` and only
+     * its front can be due. Same-cycle pops from different FIFOs commute:
+     * each is a scoreboard release plus an idempotent refreshWarp().
+     */
+    std::array<std::deque<Writeback>, 3> wbFifos_;
+    /** Append @p wb to FIFO @p src, inserting from the back so the FIFO
+     *  stays sorted even when restore() filled it out of source order. */
+    void pushWriteback(std::size_t src, const Writeback &wb);
+    /** Earliest pending writeback (neverCycle when none). */
+    Cycle nextWriteback() const;
 
     Cycle now_ = 0;
     Cycle lastBusy_ = neverCycle;
