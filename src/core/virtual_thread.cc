@@ -82,18 +82,35 @@ VirtualThreadManager::anyGridFits() const
 }
 
 void
-VirtualThreadManager::listActive(VirtualCtaId id)
+VirtualThreadManager::enterActive(VirtualCtaId id)
 {
-    active_.insert(std::lower_bound(active_.begin(), active_.end(), id), id);
+    ctas_[id].tracked = false;
+    markDirty(id);
 }
 
 void
-VirtualThreadManager::unlistActive(VirtualCtaId id)
+VirtualThreadManager::leaveActive(VirtualCtaId id)
 {
-    const auto it = std::lower_bound(active_.begin(), active_.end(), id);
-    VTSIM_ASSERT(it != active_.end() && *it == id, "CTA ", id,
-                 " missing from the active list");
-    active_.erase(it);
+    CtaRec &rec = ctas_[id];
+    if (!rec.tracked)
+        return;
+    rec.stalledFor = static_cast<std::uint32_t>(streak(rec));
+    rec.triggeredNow =
+        rec.stalledFor >= config_.vtStallThreshold && triggerable(rec);
+    rec.tracked = false;
+    const auto it = std::find(stalled_.begin(), stalled_.end(), id);
+    if (it != stalled_.end()) {
+        stalled_.erase(it);
+        pickVictim();
+    }
+}
+
+void
+VirtualThreadManager::settleSamples()
+{
+    residentSamples_.sampleN(residentCount_, unsampled_);
+    activeSamples_.sampleN(activeCtas_, unsampled_);
+    unsampled_ = 0;
 }
 
 void
@@ -160,6 +177,7 @@ VirtualThreadManager::activate(VirtualCtaId id, Cycle now)
     const CtaFootprint &fp = fps_[rec.grid];
     VTSIM_ASSERT(activeSlotFreeFor(fp), "activate without a free slot");
     unlistInactive(id);
+    settleSamples();
     ++activeCtas_;
     warpsActive_ += fp.warpsPerCta;
     threadsActive_ += fp.threadsPerCta;
@@ -175,7 +193,7 @@ VirtualThreadManager::activate(VirtualCtaId id, Cycle now)
         traceStateChange(id, CtaState::SwappingIn, now);
     } else {
         rec.state = CtaState::Active;
-        listActive(id);
+        enterActive(id);
         ++freshActivations_;
         traceStateChange(id, CtaState::Active, now);
         query_.onCtaIssuableChanged(id, true);
@@ -186,6 +204,7 @@ void
 VirtualThreadManager::releaseActiveSlot(const CtaFootprint &fp)
 {
     VTSIM_ASSERT(activeCtas_ > 0, "active slot underflow");
+    settleSamples();
     --activeCtas_;
     warpsActive_ -= fp.warpsPerCta;
     threadsActive_ -= fp.threadsPerCta;
@@ -202,6 +221,7 @@ VirtualThreadManager::onAdmit(VirtualCtaId id, Cycle now, GridId grid)
 
     regsInUse_ += fps_[grid].regsPerCta;
     sharedInUse_ += fps_[grid].sharedPerCta;
+    settleSamples();
 
     CtaRec &rec = ctas_[id];
     rec = CtaRec{};
@@ -236,7 +256,7 @@ VirtualThreadManager::onCtaFinished(VirtualCtaId id, Cycle now)
         traceJson_->instant(smId_, id, now, "finish", "cta");
     }
     const CtaFootprint &fp = fps_[ctas_[id].grid];
-    unlistActive(id);
+    leaveActive(id);
     releaseActiveSlot(fp);
     regsInUse_ -= fp.regsPerCta;
     sharedInUse_ -= fp.sharedPerCta;
@@ -293,7 +313,7 @@ VirtualThreadManager::forceSwapOut(VirtualCtaId id, Cycle now)
                 "preempt swap out cta ", id, " (grid ", out.grid, ")");
     // No swapStallStreak_ sample: this is a preemption, not the stall
     // trigger, and the histogram measures the trigger's patience.
-    unlistActive(id);
+    leaveActive(id);
     out.state = CtaState::SwappingOut;
     out.transitionAt = now + config_.vtSwapOutLatency;
     noteTransition(out.transitionAt);
@@ -356,26 +376,25 @@ VirtualThreadManager::nextEventCycle(Cycle now) const
             activeSlotFreeFor(fps_[ctas_[cand].grid]))
             return now;
     }
+    // A CTA awaiting a re-poll may flip its streak at the next tick.
+    if (!dirty_.empty())
+        return now;
     Cycle next = nextTransition_ == neverCycle
                      ? neverCycle
                      : std::max(now, nextTransition_);
-    bool victim_armed = false;
-    for (const VirtualCtaId id : active_) {
-        const CtaRec &rec = ctas_[id];
-        if (rec.stalledFor >= config_.vtStallThreshold) {
-            victim_armed = victim_armed || rec.triggeredNow;
-        } else if (rec.stalledNow) {
-            // With the stall condition holding steady, the streak first
-            // reaches the swap threshold at this cycle's tick. A streak
-            // already at/past the threshold generates no event: whatever
-            // blocked its trigger only changes on an external event.
-            next = std::min(
-                next,
-                now + (config_.vtStallThreshold - 1 - rec.stalledFor));
-        }
+    for (const VirtualCtaId id : stalled_) {
+        const std::uint64_t s = streak(ctas_[id]);
+        // With the stall condition holding steady, the streak first
+        // reaches the swap threshold at this cycle's tick. A streak
+        // already at/past the threshold generates no event: whatever
+        // blocked its trigger only changes on an external event.
+        if (s < config_.vtStallThreshold)
+            next = std::min(next, now + (config_.vtStallThreshold - 1 - s));
     }
     // No ready incoming is the same answer for any armed victim.
-    if (victim_armed && pickSwapIn(true) != invalidId)
+    if (victim_ != invalidId &&
+        streak(ctas_[victim_]) >= config_.vtStallThreshold &&
+        pickSwapIn(true) != invalidId)
         return now;
     return next;
 }
@@ -383,28 +402,24 @@ VirtualThreadManager::nextEventCycle(Cycle now) const
 void
 VirtualThreadManager::fastForwardIdle(std::uint64_t n)
 {
-    residentSamples_.sampleN(residentCount_, n);
-    activeSamples_.sampleN(activeCtas_, n);
+    unsampled_ += n;
     if (!config_.vtEnabled)
         return;
-    // Replicate tick()'s streak tracking: stalled Active CTAs count the
-    // window's cycles; everyone else's streak is already 0 and stays 0.
-    for (const VirtualCtaId id : active_) {
+    // Tracked streaks follow the clock. An untracked CTA (Active but not
+    // yet polled) keeps its streak in the record, which grows while its
+    // last answer was stalled, exactly as a per-cycle count would.
+    clock_ += n;
+    for (const VirtualCtaId id : dirty_) {
         CtaRec &rec = ctas_[id];
-        if (rec.stalledNow)
+        if (rec.resident && rec.state == CtaState::Active &&
+            !rec.tracked && rec.stalledNow)
             rec.stalledFor += n;
     }
 }
 
 void
-VirtualThreadManager::tick(Cycle now)
+VirtualThreadManager::step(Cycle now)
 {
-    residentSamples_.sample(residentCount_);
-    activeSamples_.sample(activeCtas_);
-
-    if (!config_.vtEnabled)
-        return;
-
     // 1. Complete in-flight transitions, in slot order, once the earliest
     //    one is due; the scan re-derives the next due cycle.
     if (now >= nextTransition_) {
@@ -423,7 +438,7 @@ VirtualThreadManager::tick(Cycle now)
             } else {
                 rec.state = CtaState::Active;
                 rec.stalledFor = 0;
-                listActive(id);
+                enterActive(id);
                 traceStateChange(id, CtaState::Active, now);
                 query_.onCtaIssuableChanged(id, true);
             }
@@ -440,39 +455,18 @@ VirtualThreadManager::tick(Cycle now)
         activate(incoming, now);
     }
 
-    // 3. Track stall streaks of active CTAs. The streak follows the
-    //    configured trigger's own condition so the AnyWarpStalled
-    //    ablation genuinely fires earlier than the paper's policy.
-    // 4. At most one swap pair per cycle (one context-switch port).
-    //    One pass evaluates both, reusing the streak's warp-scan for the
-    //    trigger (identical decisions to swapTriggered()).
-    const bool any_trigger =
-        config_.vtSwapTrigger == VtSwapTrigger::AnyWarpStalled;
-    VirtualCtaId victim = invalidId;
-    std::uint32_t victim_stall = 0;
-    for (const VirtualCtaId id : active_) {
-        CtaRec &rec = ctas_[id];
-        const bool stalled = any_trigger
-                                 ? query_.ctaAnyWarpLongStalled(id)
-                                 : query_.ctaFullyStalled(id);
-        rec.stalledNow = stalled;
-        rec.triggeredNow = false;
-        if (stalled)
-            ++rec.stalledFor;
-        else
-            rec.stalledFor = 0;
-        if (rec.stalledFor < config_.vtStallThreshold)
-            continue;
-        const bool triggered =
-            stalled &&
-            (any_trigger || query_.ctaAnyWarpLongStalled(id));
-        rec.triggeredNow = triggered;
-        if (triggered && rec.stalledFor >= victim_stall) {
-            victim = id;
-            victim_stall = rec.stalledFor;
-        }
-    }
-    if (victim == invalidId)
+    // 3. Stall streaks: re-poll only the CTAs whose answer may have
+    //    flipped. The streak follows the configured trigger's own
+    //    condition so the AnyWarpStalled ablation genuinely fires
+    //    earlier than the paper's policy.
+    if (!dirty_.empty())
+        repoll();
+
+    // 4. At most one swap pair per cycle (one context-switch port): the
+    //    longest armed streak, if any CTA is ready to run instead.
+    const VirtualCtaId victim = victim_;
+    if (victim == invalidId ||
+        streak(ctas_[victim]) < config_.vtStallThreshold)
         return;
     const VirtualCtaId incoming = pickSwapIn(true);
     if (incoming == invalidId)
@@ -495,12 +489,12 @@ VirtualThreadManager::tick(Cycle now)
     if (!fits)
         return;
 
-    VTSIM_TRACE(TraceFlag::Swap, now, stats_.name(), "swap out cta ",
-                victim, " (stalled ", ctas_[victim].stalledFor,
-                " cycles), swap in cta ", incoming);
     CtaRec &out = ctas_[victim];
+    leaveActive(victim);
+    VTSIM_TRACE(TraceFlag::Swap, now, stats_.name(), "swap out cta ",
+                victim, " (stalled ", out.stalledFor,
+                " cycles), swap in cta ", incoming);
     swapStallStreak_.sample(out.stalledFor);
-    unlistActive(victim);
     out.state = CtaState::SwappingOut;
     out.transitionAt = now + config_.vtSwapOutLatency;
     noteTransition(out.transitionAt);
@@ -532,6 +526,56 @@ VirtualThreadManager::tick(Cycle now)
 }
 
 void
+VirtualThreadManager::repoll()
+{
+    const bool any_trigger =
+        config_.vtSwapTrigger == VtSwapTrigger::AnyWarpStalled;
+    for (const VirtualCtaId id : dirty_) {
+        CtaRec &rec = ctas_[id];
+        rec.dirty = false;
+        if (!rec.resident || rec.state != CtaState::Active)
+            continue;
+        const bool stalled = any_trigger ? query_.ctaAnyWarpLongStalled(id)
+                                         : query_.ctaFullyStalled(id);
+        const bool was = rec.tracked && rec.stalledNow;
+        if (!rec.tracked) {
+            // First poll since activation: continue the recorded streak
+            // (0, unless restored from a checkpoint mid-streak).
+            rec.tracked = true;
+            rec.stallStart = clock_ - rec.stalledFor;
+        } else if (stalled && !was) {
+            rec.stallStart = clock_;
+        }
+        rec.stalledNow = stalled;
+        rec.longNow = stalled && (any_trigger ||
+                                  query_.ctaAnyWarpLongStalled(id));
+        if (stalled && !was)
+            stalled_.push_back(id);
+        else if (!stalled && was)
+            stalled_.erase(std::find(stalled_.begin(), stalled_.end(), id));
+    }
+    dirty_.clear();
+    pickVictim();
+}
+
+void
+VirtualThreadManager::pickVictim()
+{
+    victim_ = invalidId;
+    std::uint64_t best = 0;
+    for (const VirtualCtaId id : stalled_) {
+        const CtaRec &rec = ctas_[id];
+        if (!triggerable(rec))
+            continue;
+        const std::uint64_t s = streak(rec);
+        if (victim_ == invalidId || s > best || (s == best && id > victim_)) {
+            victim_ = id;
+            best = s;
+        }
+    }
+}
+
+void
 VirtualThreadManager::reset()
 {
     fps_ = {};
@@ -545,6 +589,8 @@ VirtualThreadManager::reset()
     threadsActive_ = 0;
     regsInUse_ = 0;
     sharedInUse_ = 0;
+    clock_ = 0;
+    unsampled_ = 0;
     rebuildDerived();
     swapOuts_.reset();
     swapIns_.reset();
@@ -572,14 +618,23 @@ VirtualThreadManager::save(Serializer &ser) const
     // field to keep the bytes free of padding.
     ser.put<std::uint64_t>(ctas_.size());
     for (const CtaRec &cta : ctas_) {
+        // A tracked CTA's streak and trigger are derived: write the
+        // values the last tick's per-cycle count would have left.
+        const std::uint32_t stalled_for =
+            cta.tracked ? static_cast<std::uint32_t>(streak(cta))
+                        : cta.stalledFor;
+        const bool triggered =
+            cta.tracked ? stalled_for >= config_.vtStallThreshold &&
+                              triggerable(cta)
+                        : cta.triggeredNow;
         ser.put<std::uint8_t>(cta.resident);
         ser.put<std::uint8_t>(static_cast<std::uint8_t>(cta.state));
         ser.put(cta.transitionAt);
         ser.put(cta.age);
-        ser.put(cta.stalledFor);
+        ser.put(stalled_for);
         ser.put<std::uint8_t>(cta.everSwapped);
         ser.put<std::uint8_t>(cta.stalledNow);
-        ser.put<std::uint8_t>(cta.triggeredNow);
+        ser.put<std::uint8_t>(triggered);
         ser.put(cta.grid);
     }
     ser.put(residentCount_);
@@ -598,8 +653,12 @@ VirtualThreadManager::save(Serializer &ser) const
     }
     saveStat(ser, freshActivations_);
     saveStat(ser, swapInNotReady_);
-    saveStat(ser, residentSamples_);
-    saveStat(ser, activeSamples_);
+    ScalarStat resident = residentSamples_;
+    ScalarStat active = activeSamples_;
+    resident.sampleN(residentCount_, unsampled_);
+    active.sampleN(activeCtas_, unsampled_);
+    saveStat(ser, resident);
+    saveStat(ser, active);
     saveStat(ser, swapStallStreak_);
     ser.endSection(sec);
 }
@@ -644,25 +703,29 @@ VirtualThreadManager::restore(Deserializer &des)
     restoreStat(des, activeSamples_);
     restoreStat(des, swapStallStreak_);
     des.endSection();
+    unsampled_ = 0;
     rebuildDerived();
 }
 
 void
 VirtualThreadManager::rebuildDerived()
 {
-    active_.clear();
     for (GridId g = 0; g < maxGrids; ++g) {
         readyInactive_[g].clear();
         waitingInactive_[g].clear();
     }
+    dirty_.clear();
+    stalled_.clear();
+    victim_ = invalidId;
     nextTransition_ = neverCycle;
     for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
         CtaRec &rec = ctas_[id];
         if (!rec.resident)
             continue;
         rec.ready = query_.ctaPendingOffChip(id) == 0;
+        rec.dirty = false;
         switch (rec.state) {
-          case CtaState::Active: listActive(id); break;
+          case CtaState::Active: enterActive(id); break;
           case CtaState::Inactive: listInactive(id); break;
           case CtaState::SwappingOut:
           case CtaState::SwappingIn: noteTransition(rec.transitionAt); break;
@@ -674,7 +737,7 @@ VirtualThreadManager::rebuildDerived()
 void
 VirtualThreadManager::verifyDerivedState() const
 {
-    std::vector<VirtualCtaId> active;
+    std::vector<VirtualCtaId> stalled;
     std::array<AgeList, maxGrids> ready{}, waiting{};
     Cycle next = neverCycle;
     for (VirtualCtaId id = 0; id < ctas_.size(); ++id) {
@@ -684,14 +747,38 @@ VirtualThreadManager::verifyDerivedState() const
         const bool is_ready = query_.ctaPendingOffChip(id) == 0;
         VTSIM_ASSERT(rec.ready == is_ready, "cached readiness of CTA ", id,
                      " diverged from its off-chip total");
-        if (rec.state == CtaState::Active)
-            active.push_back(id);
-        else if (rec.state == CtaState::Inactive)
+        if (rec.state == CtaState::Active) {
+            // Polled and unchanged since: the cached answers must match
+            // a fresh poll.
+            if (rec.dirty)
+                continue;
+            const bool any_trigger =
+                config_.vtSwapTrigger == VtSwapTrigger::AnyWarpStalled;
+            const bool stalled_now = any_trigger
+                                         ? query_.ctaAnyWarpLongStalled(id)
+                                         : query_.ctaFullyStalled(id);
+            VTSIM_ASSERT(rec.tracked && rec.stalledNow == stalled_now &&
+                             (!stalled_now ||
+                              rec.longNow ==
+                                  (any_trigger ||
+                                   query_.ctaAnyWarpLongStalled(id))),
+                         "cached stall poll of CTA ", id,
+                         " diverged on sm ", smId_);
+            if (stalled_now)
+                stalled.push_back(id);
+        } else if (rec.state == CtaState::Inactive) {
             (is_ready ? ready : waiting)[rec.grid].push_back({rec.age, id});
-        else
+        } else {
             next = std::min(next, rec.transitionAt);
+        }
     }
-    VTSIM_ASSERT(active == active_, "active list diverged on sm ", smId_);
+    std::vector<VirtualCtaId> listed;
+    for (const VirtualCtaId id : stalled_) {
+        if (!ctas_[id].dirty)
+            listed.push_back(id);
+    }
+    std::sort(listed.begin(), listed.end());
+    VTSIM_ASSERT(stalled == listed, "stalled list diverged on sm ", smId_);
     for (GridId g = 0; g < maxGrids; ++g) {
         std::sort(ready[g].begin(), ready[g].end());
         std::sort(waiting[g].begin(), waiting[g].end());

@@ -58,7 +58,10 @@ class VtCtaQuery
 
     /** True when no live warp of the CTA could issue this cycle for
      *  warp-local reasons (dependences, barrier), ignoring per-cycle
-     *  structural ports. Asked of Active CTAs at the VT tick only. */
+     *  structural ports. Asked of Active CTAs at the VT tick only, and
+     *  only after the owner reported a possible flip through
+     *  VirtualThreadManager::onCtaStallChanged (or the CTA became
+     *  Active): the manager caches both stall answers between polls. */
     virtual bool ctaFullyStalled(VirtualCtaId id) const = 0;
 
     /** True when at least one warp of the CTA is blocked waiting on an
@@ -146,8 +149,33 @@ class VirtualThreadManager
      */
     void onCtaReadinessChanged(VirtualCtaId id, bool ready);
 
-    /** Advance the state machine one cycle. */
-    void tick(Cycle now);
+    /**
+     * The answers ctaFullyStalled / ctaAnyWarpLongStalled give for
+     * resident CTA @p id may have flipped; the next tick re-polls it.
+     * The owner must report every flip of the answer the configured
+     * trigger reads (ignored for CTAs that are not Active).
+     */
+    void onCtaStallChanged(VirtualCtaId id)
+    {
+        if (id < ctas_.size() && ctas_[id].resident &&
+            ctas_[id].state == CtaState::Active)
+            markDirty(id);
+    }
+
+    /** Advance the state machine one cycle. Costs O(1) unless a swap
+     *  completes, a slot is free, a CTA awaits a re-poll or a streak has
+     *  reached the swap threshold. */
+    void tick(Cycle now)
+    {
+        ++unsampled_;
+        if (!config_.vtEnabled)
+            return;
+        ++clock_;
+        if (now >= nextTransition_ || slotFits_ || !dirty_.empty() ||
+            (victim_ != invalidId &&
+             streak(ctas_[victim_]) >= config_.vtStallThreshold))
+            step(now);
+    }
 
     /**
      * Earliest cycle >= @p now at which tick() might change state given
@@ -166,6 +194,10 @@ class VirtualThreadManager
      * crossing occurs (i.e. nextEventCycle() lies beyond the window).
      */
     void fastForwardIdle(std::uint64_t n);
+
+    /** Apply the residency samples deferred since the counts last
+     *  changed (call before reading the stats). */
+    void settleSamples();
 
     /** Warps of @p id may issue only when it is Active.
      *  Inline: this sits on the per-warp issue fast path. */
@@ -261,22 +293,30 @@ class VirtualThreadManager
         CtaState state = CtaState::Active;
         Cycle transitionAt = 0;  ///< When the current Swapping* finishes.
         std::uint64_t age = 0;   ///< Admission order.
-        std::uint32_t stalledFor = 0; ///< Consecutive fully-stalled cycles.
+        /** Consecutive stalled cycles; while `tracked`, streak() holds
+         *  the live value and this field is written back on leaving the
+         *  Active state. */
+        std::uint32_t stalledFor = 0;
         bool everSwapped = false;
-        /**
-         * The streak condition / swap trigger as tick() last evaluated
-         * them. nextEventCycle() and fastForwardIdle() run either in the
-         * same cycle as that tick or across a window where the inputs
-         * are constant (external events can only clear a stall, which
-         * makes a horizon built from these caches conservative), so they
-         * read the caches instead of re-scanning the CTA's warps.
-         */
+        /** The stall poll's answer as the last poll saw it (the last VT
+         *  tick's answer: every flip is re-polled at the next tick). */
         bool stalledNow = false;
+        /** The swap trigger as the last tick saw it; derived from the
+         *  streak while `tracked`, like stalledFor. */
         bool triggeredNow = false;
         /** Owning grid (concurrent launches; solo CTAs are grid 0). */
         GridId grid = 0;
         /** Cached ctaPendingOffChip(id) == 0 (derived, not serialized). */
         bool ready = true;
+        // --- Event-driven streak (derived, not serialized) ---
+        /** Active and polled since it became Active. */
+        bool tracked = false;
+        /** Queued in dirty_ for a re-poll at the next tick. */
+        bool dirty = false;
+        /** ctaAnyWarpLongStalled at the last poll (when stalled). */
+        bool longNow = false;
+        /** clock_ of the streak's first cycle (valid while stalled). */
+        std::uint64_t stallStart = 0;
     };
 
     /** (admission age, slot) pairs in ascending age order: oldest first. */
@@ -294,8 +334,10 @@ class VirtualThreadManager
     VirtualCtaId pickSwapIn(bool require_ready) const;
 
     // Derived-state upkeep, called at every residency transition.
-    void listActive(VirtualCtaId id);
-    void unlistActive(VirtualCtaId id);
+    /** Became Active: untracked until the next tick polls it. */
+    void enterActive(VirtualCtaId id);
+    /** Leaves Active: write the live streak back into the record. */
+    void leaveActive(VirtualCtaId id);
     /** Enter / leave the Inactive lists (by the CTA's cached readiness). */
     void listInactive(VirtualCtaId id);
     void unlistInactive(VirtualCtaId id);
@@ -307,6 +349,31 @@ class VirtualThreadManager
     bool anyGridFits() const;
     /** Rebuild every derived list and cache from the CTA records. */
     void rebuildDerived();
+
+    /** tick()'s slow path: transitions, slot fills, re-polls, swaps. */
+    void step(Cycle now);
+    /** Live streak of a tracked CTA. */
+    std::uint64_t streak(const CtaRec &rec) const
+    { return rec.stalledNow ? clock_ - rec.stallStart + 1 : 0; }
+    /** Stalled and meeting the trigger's long-latency condition. */
+    bool triggerable(const CtaRec &rec) const
+    {
+        return rec.stalledNow &&
+               (rec.longNow ||
+                config_.vtSwapTrigger == VtSwapTrigger::AnyWarpStalled);
+    }
+    void markDirty(VirtualCtaId id)
+    {
+        if (!ctas_[id].dirty) {
+            ctas_[id].dirty = true;
+            dirty_.push_back(id);
+        }
+    }
+    /** Re-poll the dirty CTAs and re-derive stalled_ and victim_. */
+    void repoll();
+    /** victim_: the triggerable stalled CTA with the longest streak, the
+     *  higher slot on ties (the order the per-cycle rule used). */
+    void pickVictim();
 
     /** Close slot @p id's open residency span and open @p state's. */
     void traceStateChange(VirtualCtaId id, CtaState state, Cycle now);
@@ -335,8 +402,15 @@ class VirtualThreadManager
     std::uint32_t sharedInUse_ = 0;
 
     // --- Derived state (see ARCHITECTURE.md "The Virtual Thread manager")
-    /** Slots of the Active CTAs, ascending: the streak loop's order. */
-    std::vector<VirtualCtaId> active_;
+    /** Counts VT ticks and fast-forwarded cycles: the streak clock. */
+    std::uint64_t clock_ = 0;
+    /** Ticks whose residency samples settleSamples() still owes. */
+    std::uint64_t unsampled_ = 0;
+    /** Active CTAs to re-poll at the next tick (all untracked ones). */
+    std::vector<VirtualCtaId> dirty_;
+    /** Tracked Active CTAs whose last poll said stalled. */
+    std::vector<VirtualCtaId> stalled_;
+    VirtualCtaId victim_ = invalidId;
     /** Inactive CTAs per grid, split by cached readiness. */
     std::array<AgeList, maxGrids> readyInactive_;
     std::array<AgeList, maxGrids> waitingInactive_;

@@ -253,6 +253,7 @@ SmCore::admitCta(const CtaAssignment &assignment, Cycle now, GridId grid)
     cta.listed.assign(warps, 0);
     cta.readyMembers = 0;
     cta.readyOffchip = 0;
+    cta.offchipWarps = 0;
     cta.warpsAlive = warps;
     cta.schedWarps.assign(config_.numSchedulers, {});
     cta.aliveBySched.assign(config_.numSchedulers, 0);
@@ -351,7 +352,7 @@ SmCore::tick(Cycle now)
         ++ffPending_;
         return;
     }
-    flushFastForward();
+    settleWindow();
     now_ = now;
 
     // 1. Memory completions (unblocks warps for this cycle's issue).
@@ -550,7 +551,7 @@ SmCore::nextEventCycle(Cycle now)
     // deferred, recomputing from unsettled state would be wrong.
     if (now < ffHorizon_)
         return ffHorizon_;
-    flushFastForward();
+    settleWindow();
     return computeNextEvent(now);
 }
 
@@ -560,7 +561,7 @@ SmCore::nextEventCycleFresh(Cycle now)
     // The oracle's reference answer: settle the books, then recompute
     // from scratch — the cached lazy-window horizon must never be
     // consulted here, since it is exactly what is being checked.
-    flushFastForward();
+    settleWindow();
     return computeNextEvent(now);
 }
 
@@ -608,7 +609,7 @@ SmCore::computeNextEvent(Cycle now)
 void
 SmCore::settleTo(Cycle cycle)
 {
-    flushFastForward();
+    settleWindow();
     // now_ is the last accounted cycle; bring the books to cycle - 1
     // (the horizon cycle itself is the next real tick's).
     if (cycle > now_ + 1) {
@@ -619,6 +620,13 @@ SmCore::settleTo(Cycle cycle)
 
 void
 SmCore::flushFastForward()
+{
+    settleWindow();
+    vt_.settleSamples();
+}
+
+void
+SmCore::settleWindow()
 {
     if (ffPending_ == 0)
         return;
@@ -633,7 +641,7 @@ SmCore::flushFastForward()
 void
 SmCore::onExternalEvent()
 {
-    flushFastForward();
+    settleWindow();
     ffHorizon_ = 0;
 }
 
@@ -699,8 +707,10 @@ SmCore::issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
         } else { // EXIT
             warp.stack().exitActiveLanes();
             if (warp.done()) {
+                const std::uint32_t key = stallKey(cta);
                 retireWarpCounters(cta, warp);
                 refreshWarp(slot, w); // Retract before warps can clear.
+                noteStallKey(slot, key);
                 if (cta.warpsAlive == 0) {
                     finishCta(slot, now);
                     return;
@@ -770,6 +780,7 @@ SmCore::retireWarpCounters(VirtualCta &cta, const WarpContext &warp)
     --schedAlive_[sched];
     if (warp.pendingOffChip() > 0) {
         --cta.offchipBySched[sched];
+        --cta.offchipWarps;
         --schedIssuableOffchip_[sched];
     }
 }
@@ -858,13 +869,16 @@ SmCore::offChipIssued(VirtualCtaId vcta, std::uint32_t warp_in_cta)
         return;
     VirtualCta &cta = ctas_[vcta];
     WarpContext &warp = cta.warps[warp_in_cta];
+    const std::uint32_t key = stallKey(cta);
     warp.addOffChip();
     if (warp.pendingOffChip() == 1 && !warp.done()) {
         ++cta.offchipBySched[warp.schedId()];
+        ++cta.offchipWarps;
         if (vt_.isIssuable(vcta))
             ++schedIssuableOffchip_[warp.schedId()];
         if (cta.listed[warp_in_cta])
             ++cta.readyOffchip;
+        noteStallKey(vcta, key);
     }
     if (++cta.pendingOffChipTotal == 1)
         vt_.onCtaReadinessChanged(vcta, false);
@@ -884,15 +898,18 @@ SmCore::offChipReturned(VirtualCtaId vcta, std::uint32_t warp_in_cta)
         return;
     VirtualCta &cta = ctas_[vcta];
     WarpContext &warp = cta.warps[warp_in_cta];
+    const std::uint32_t key = stallKey(cta);
     warp.removeOffChip();
     VTSIM_ASSERT(cta.pendingOffChipTotal > 0,
                  "off-chip aggregate underflow");
     if (warp.pendingOffChip() == 0 && !warp.done()) {
         --cta.offchipBySched[warp.schedId()];
+        --cta.offchipWarps;
         if (vt_.isIssuable(vcta))
             --schedIssuableOffchip_[warp.schedId()];
         if (cta.listed[warp_in_cta])
             --cta.readyOffchip;
+        noteStallKey(vcta, key);
     }
     if (--cta.pendingOffChipTotal == 0)
         vt_.onCtaReadinessChanged(vcta, true);
@@ -921,10 +938,7 @@ SmCore::ctaAnyWarpLongStalled(VirtualCtaId id) const
     // unless it is listed, so comparing the CTA's off-chip warps with its
     // listed off-chip warps answers the existence query.
     VTSIM_ASSERT(vt_.isIssuable(id), "stall query on frozen CTA ", id);
-    std::uint32_t offchip_total = 0;
-    for (std::uint32_t s = 0; s < config_.numSchedulers; ++s)
-        offchip_total += cta.offchipBySched[s];
-    return offchip_total > cta.readyOffchip;
+    return cta.offchipWarps > cta.readyOffchip;
 }
 
 std::uint32_t
@@ -949,6 +963,7 @@ SmCore::refreshWarp(VirtualCtaId slot, std::uint32_t w)
     const std::uint64_t key = readyKey(cta, slot, w);
     const auto it = std::lower_bound(list.begin(), list.end(), key);
     const std::uint32_t offchip = warp.pendingOffChip() > 0 ? 1 : 0;
+    const std::uint32_t stall_key = stallKey(cta);
     if (want) {
         list.insert(it, key);
         ++cta.readyMembers;
@@ -959,6 +974,7 @@ SmCore::refreshWarp(VirtualCtaId slot, std::uint32_t w)
         cta.readyOffchip -= offchip;
     }
     cta.listed[w] = want;
+    noteStallKey(slot, stall_key);
 }
 
 void
@@ -968,6 +984,9 @@ SmCore::rebuildReadyCounters()
         cta.listed.assign(cta.warps.size(), 0);
         cta.readyMembers = 0;
         cta.readyOffchip = 0;
+        cta.offchipWarps = 0;
+        for (const std::uint32_t n : cta.offchipBySched)
+            cta.offchipWarps += n;
     }
     for (const auto &list : ready_) {
         for (const std::uint64_t key : list) {
@@ -1333,7 +1352,11 @@ SmCore::verifyReadySets() const
         std::uint32_t listed = 0;
         for (const std::uint8_t flag : cta.listed)
             listed += flag;
-        VTSIM_ASSERT(cta.readyMembers == members[slot] &&
+        std::uint32_t offchip = 0;
+        for (const std::uint32_t n : cta.offchipBySched)
+            offchip += n;
+        VTSIM_ASSERT(cta.offchipWarps == offchip &&
+                         cta.readyMembers == members[slot] &&
                          listed == members[slot] &&
                          cta.readyOffchip == members_offchip[slot],
                      "per-CTA ready counters diverged for cta ", slot);

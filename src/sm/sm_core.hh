@@ -318,6 +318,8 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
          *  scheduler slot: with barrierBySched, the counters the bubble
          *  classifier reads instead of scanning warps. */
         std::vector<std::uint32_t> offchipBySched;
+        /** Sum of offchipBySched (derived, rebuilt on restore). */
+        std::uint32_t offchipWarps = 0;
         std::uint32_t warpsAlive = 0;
         /** Sum of the warps' pendingOffChip counts; its zero/non-zero
          *  flips are the VT manager's swap-in readiness notifications. */
@@ -378,6 +380,9 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     /** State changed from outside tick(): settle and drop the cached
      *  idle horizon. */
     void onExternalEvent();
+    /** Account the lazily counted ticks (flushFastForward() minus the
+     *  VT manager's deferred residency samples). */
+    void settleWindow();
 
     // --- Incremental ready sets --------------------------------------------
     /** Packed ready-list key: the scheduler rank age * 256 + w above the
@@ -430,6 +435,23 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
      *  ready counters in step. Idempotent; called after every state
      *  transition that can change membership. */
     void refreshWarp(VirtualCtaId slot, std::uint32_t w);
+
+    /** What the VT stall poll reads of @p cta, folded to the configured
+     *  trigger's condition: a change is a possible flip of its answer,
+     *  reported through VirtualThreadManager::onCtaStallChanged. */
+    std::uint32_t stallKey(const VirtualCta &cta) const
+    {
+        const std::uint32_t long_stalled =
+            cta.offchipWarps > cta.readyOffchip;
+        if (config_.vtSwapTrigger == VtSwapTrigger::AnyWarpStalled)
+            return long_stalled;
+        return cta.readyMembers == 0 ? 1 + long_stalled : 0;
+    }
+    void noteStallKey(VirtualCtaId slot, std::uint32_t before)
+    {
+        if (config_.vtEnabled && stallKey(ctas_[slot]) != before)
+            vt_.onCtaStallChanged(slot);
+    }
 
     /** Rebuild every CTA's listed flags and ready counters from the
      *  ready lists (after restore). */

@@ -35,8 +35,21 @@ ScalarStat::sampleN(double v, std::uint64_t n)
         max_ = std::max(max_, v);
     }
     count_ += n;
-    // Repeated addition, not v * n: keep the rounding sequence of the
-    // per-cycle loop so fast-forward is bit-identical.
+    // v * n equals n repeated additions when v and every partial sum are
+    // whole numbers of magnitude at most 2^53: each addition is exact.
+    constexpr double exact = 9007199254740992.0; // 2^53
+    const double av = std::fabs(v);
+    const double as = std::fabs(sum_);
+    if (av <= exact && as <= exact && v == std::trunc(v) &&
+        sum_ == std::trunc(sum_)) {
+        const auto a = static_cast<std::uint64_t>(av);
+        if (a == 0 || n <= (static_cast<std::uint64_t>(exact) -
+                            static_cast<std::uint64_t>(as)) / a) {
+            sum_ += v * static_cast<double>(n);
+            return;
+        }
+    }
+    // Otherwise keep the rounding sequence of the per-cycle loop.
     for (std::uint64_t i = 0; i < n; ++i)
         sum_ += v;
 }

@@ -44,10 +44,10 @@ class ScalarStat
 
     /**
      * Record @p n consecutive samples of the same value @p v —
-     * bit-identical to calling sample(v) @p n times (the sum is
-     * accumulated by repeated addition, not v * n, so fast-forwarded
+     * bit-identical to calling sample(v) @p n times, so fast-forwarded
      * simulations reproduce the naive loop's floating-point result
-     * exactly).
+     * exactly. O(1) when v * n is exact (whole numbers within 2^53),
+     * repeated addition otherwise.
      */
     void sampleN(double v, std::uint64_t n);
     std::uint64_t count() const { return count_; }

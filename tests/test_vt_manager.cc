@@ -57,7 +57,15 @@ class MockQuery : public VtCtaQuery
             mgr_->onCtaReadinessChanged(id, n == 0);
     }
 
-    CtaObs &operator[](VirtualCtaId id) { return obs_[id]; }
+    /** CTA @p id's answers, for the caller to change: the manager is
+     *  told they may flip, as SmCore reports every flip. */
+    CtaObs &
+    operator[](VirtualCtaId id)
+    {
+        if (mgr_)
+            mgr_->onCtaStallChanged(id);
+        return obs_[id];
+    }
 
   private:
     std::map<VirtualCtaId, CtaObs> obs_;
