@@ -26,6 +26,7 @@ SmCore::SmCore(SmId id, const GpuConfig &config, Interconnect &noc)
         schedulers_.emplace_back(config.schedulerPolicy, active_set);
     }
     ready_.resize(config.numSchedulers);
+    classCount_.assign(config.numSchedulers, {});
     schedAlive_.assign(config.numSchedulers, 0);
     schedFrozenAlive_.assign(config.numSchedulers, 0);
     schedIssuableBarrier_.assign(config.numSchedulers, 0);
@@ -354,6 +355,8 @@ SmCore::tick(Cycle now)
     }
     settleWindow();
     now_ = now;
+    if (classesStale_)
+        rebuildClasses();
 
     // 1. Memory completions (unblocks warps for this cycle's issue).
     ldst_.tick(now);
@@ -391,16 +394,24 @@ SmCore::tick(Cycle now)
     //    stops at the first warp that can issue. When none can, the walk
     //    has visited every listed warp exactly once, and the bubble
     //    attribution it gathered on the way classifies the empty slot
-    //    (the outcome is identical to classifyIssueBubble()).
+    //    (the outcome is identical to countedBubble()).
     const StallBreakdown before_issue = stalls_;
     IssueBudgets budgets{config_.aluThroughputPerSm,
                          config_.sfuThroughputPerSm,
                          config_.ldstThroughputPerSm};
+    lateReady_ = false;
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
         // Structural ports are constant within one scheduler's walk
         // (issues by earlier schedulers already happened): hoist.
         const bool ldst_ok = ldst_.canAccept();
         const bool shmem_ok = shmem_.canAccept(now);
+        // When every listed class is blocked by its port or a spent
+        // budget, the counts classify the bubble without a walk.
+        if (!lateReady_ &&
+            !anyClassIssuable(s, ldst_ok, shmem_ok, budgets)) {
+            chargeBubble(countedBubble(s, ldst_ok, shmem_ok), 1);
+            continue;
+        }
         bool mem_blocked = false;
         std::uint32_t ready_offchip = 0;
         const auto can_issue = [&](std::uint64_t key) {
@@ -490,25 +501,31 @@ SmCore::nextWriteback() const
     return next;
 }
 
-SmCore::BubbleKind
-SmCore::classifyIssueBubble(std::uint32_t scheduler, Cycle now) const
+bool
+SmCore::anyClassIssuable(std::uint32_t s, bool ldst_ok, bool shmem_ok,
+                         const IssueBudgets &budgets) const
 {
-    const bool ldst_ok = ldst_.canAccept();
-    bool mem_blocked = false;
+    const ClassCounts &c = classCount_[s];
+    const auto listed = [&](PortClass k) { return c[2 * k] + c[2 * k + 1]; };
+    return listed(ControlPort) > 0 ||
+           (listed(AluPort) > 0 && budgets.alu > 0) ||
+           (listed(SfuPort) > 0 && budgets.sfu > 0) ||
+           (budgets.mem > 0 && ((listed(GlobalPort) > 0 && ldst_ok) ||
+                                (listed(SharedPort) > 0 && shmem_ok)));
+}
+
+SmCore::BubbleKind
+SmCore::countedBubble(std::uint32_t s, bool ldst_ok, bool shmem_ok) const
+{
+    // An off-chip warp blocked by its port is mem-blocked; one blocked
+    // only by a spent budget is not (the walk's rule).
+    const ClassCounts &c = classCount_[s];
+    const bool mem_blocked = (c[2 * GlobalPort + 1] > 0 && !ldst_ok) ||
+                             (c[2 * SharedPort + 1] > 0 && !shmem_ok);
     std::uint32_t ready_offchip = 0;
-    for (const std::uint64_t key : ready_[scheduler]) {
-        const VirtualCta &cta = ctas_[readySlot(key)];
-        const WarpContext &warp = cta.warps[readyWarp(key)];
-        if (warp.pendingOffChip() == 0)
-            continue;
-        ++ready_offchip;
-        const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
-        if (warp.readyAt() > now || (inst.isGlobalMem() && !ldst_ok) ||
-            (inst.isSharedMem() && !shmem_.canAccept(now))) {
-            mem_blocked = true;
-        }
-    }
-    return bubbleKind(scheduler, mem_blocked, ready_offchip);
+    for (std::uint32_t k = 0; k < numPortClasses; ++k)
+        ready_offchip += c[2 * k + 1];
+    return bubbleKind(s, mem_blocked, ready_offchip);
 }
 
 SmCore::BubbleKind
@@ -654,9 +671,12 @@ SmCore::accountIdleCycles(Cycle now, std::uint64_t n)
     // the throttler's epoch observations.
     ldst_.settleTo(now + n);
     vt_.fastForwardIdle(n);
+    if (classesStale_)
+        rebuildClasses();
     bool any_mem = false;
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        const BubbleKind kind = classifyIssueBubble(s, now);
+        const BubbleKind kind =
+            countedBubble(s, ldst_.canAccept(), shmem_.canAccept(now));
         chargeBubble(kind, n);
         any_mem = any_mem || kind == BubbleKind::Mem;
     }
@@ -796,6 +816,7 @@ SmCore::maybeReleaseBarrier(VirtualCtaId slot, Cycle now)
     if (traceJson_)
         traceJson_->instant(id_, slot, now, "barrier-release", "barrier");
     const bool issuable = vt_.isIssuable(slot);
+    lateReady_ = true;
     barriers_.releaseInto(slot, barrierScratch_);
     for (std::uint32_t w : barrierScratch_) {
         cta.warps[w].setAtBarrier(false);
@@ -876,8 +897,11 @@ SmCore::offChipIssued(VirtualCtaId vcta, std::uint32_t warp_in_cta)
         ++cta.offchipWarps;
         if (vt_.isIssuable(vcta))
             ++schedIssuableOffchip_[warp.schedId()];
-        if (cta.listed[warp_in_cta])
+        if (const std::uint8_t l = cta.listed[warp_in_cta]) {
             ++cta.readyOffchip;
+            --classCount_[warp.schedId()][2 * (l - 1)];
+            ++classCount_[warp.schedId()][2 * (l - 1) + 1];
+        }
         noteStallKey(vcta, key);
     }
     if (++cta.pendingOffChipTotal == 1)
@@ -907,8 +931,11 @@ SmCore::offChipReturned(VirtualCtaId vcta, std::uint32_t warp_in_cta)
         --cta.offchipWarps;
         if (vt_.isIssuable(vcta))
             --schedIssuableOffchip_[warp.schedId()];
-        if (cta.listed[warp_in_cta])
+        if (const std::uint8_t l = cta.listed[warp_in_cta]) {
             --cta.readyOffchip;
+            --classCount_[warp.schedId()][2 * (l - 1) + 1];
+            ++classCount_[warp.schedId()][2 * (l - 1)];
+        }
         noteStallKey(vcta, key);
     }
     if (--cta.pendingOffChipTotal == 0)
@@ -956,13 +983,27 @@ SmCore::refreshWarp(VirtualCtaId slot, std::uint32_t w)
     if (!cta.valid)
         return;
     const WarpContext &warp = cta.warps[w];
-    const bool want = vt_.isIssuable(slot) && warpReadyMember(cta, warp);
-    if (want == (cta.listed[w] != 0))
+    // Listed warps cache their next instruction's port class, which
+    // moves with the PC on every issue, not only on membership flips.
+    const std::uint8_t want =
+        vt_.isIssuable(slot) && warpReadyMember(cta, warp)
+            ? 1 + portClass(kernelOf(cta)->at(warp.stack().pc()))
+            : 0;
+    const std::uint8_t had = cta.listed[w];
+    if (want == had)
+        return;
+    const std::uint32_t offchip = warp.pendingOffChip() > 0 ? 1 : 0;
+    ClassCounts &count = classCount_[warp.schedId()];
+    if (had)
+        --count[2 * (had - 1) + offchip];
+    if (want)
+        ++count[2 * (want - 1) + offchip];
+    cta.listed[w] = want;
+    if ((had != 0) == (want != 0))
         return;
     std::vector<std::uint64_t> &list = ready_[warp.schedId()];
     const std::uint64_t key = readyKey(cta, slot, w);
     const auto it = std::lower_bound(list.begin(), list.end(), key);
-    const std::uint32_t offchip = warp.pendingOffChip() > 0 ? 1 : 0;
     const std::uint32_t stall_key = stallKey(cta);
     if (want) {
         list.insert(it, key);
@@ -973,7 +1014,6 @@ SmCore::refreshWarp(VirtualCtaId slot, std::uint32_t w)
         --cta.readyMembers;
         cta.readyOffchip -= offchip;
     }
-    cta.listed[w] = want;
     noteStallKey(slot, stall_key);
 }
 
@@ -991,12 +1031,34 @@ SmCore::rebuildReadyCounters()
     for (const auto &list : ready_) {
         for (const std::uint64_t key : list) {
             VirtualCta &cta = ctas_[readySlot(key)];
-            cta.listed[readyWarp(key)] = 1;
+            cta.listed[readyWarp(key)] = 1; // Class set by rebuildClasses.
             ++cta.readyMembers;
             if (cta.warps[readyWarp(key)].pendingOffChip() > 0)
                 ++cta.readyOffchip;
         }
     }
+    // The kernels may be rebound only after restore(): classes wait for
+    // the next tick.
+    classesStale_ = true;
+}
+
+void
+SmCore::rebuildClasses()
+{
+    classCount_.assign(config_.numSchedulers, {});
+    for (VirtualCta &cta : ctas_) {
+        for (std::uint32_t w = 0; w < cta.listed.size(); ++w) {
+            if (!cta.listed[w])
+                continue;
+            const WarpContext &warp = cta.warps[w];
+            const std::uint8_t cls =
+                portClass(kernelOf(cta)->at(warp.stack().pc()));
+            cta.listed[w] = 1 + cls;
+            ++classCount_[warp.schedId()]
+                         [2 * cls + (warp.pendingOffChip() > 0)];
+        }
+    }
+    classesStale_ = false;
 }
 
 void
@@ -1034,7 +1096,14 @@ SmCore::onCtaIssuableChanged(VirtualCtaId id, bool issuable)
             const auto last = std::lower_bound(first, list.end(), hi);
             list.erase(first, last);
         }
-        std::fill(cta.listed.begin(), cta.listed.end(), 0);
+        for (std::uint32_t w = 0; w < cta.warps.size(); ++w) {
+            if (const std::uint8_t l = cta.listed[w]) {
+                --classCount_[cta.warps[w].schedId()]
+                             [2 * (l - 1) +
+                              (cta.warps[w].pendingOffChip() > 0)];
+                cta.listed[w] = 0;
+            }
+        }
         cta.readyMembers = 0;
         cta.readyOffchip = 0;
     }
@@ -1073,6 +1142,8 @@ SmCore::reset()
     barrierScratch_.clear();
     for (auto &list : ready_)
         list.clear();
+    classCount_.assign(config_.numSchedulers, {});
+    classesStale_ = false;
     schedAlive_.assign(config_.numSchedulers, 0);
     schedFrozenAlive_.assign(config_.numSchedulers, 0);
     schedIssuableBarrier_.assign(config_.numSchedulers, 0);
@@ -1291,6 +1362,7 @@ SmCore::verifyReadySets() const
     std::vector<std::uint32_t> members_offchip(ctas_.size(), 0);
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
         std::vector<std::uint64_t> expected;
+        ClassCounts classes{};
         std::uint32_t alive = 0;
         std::uint32_t frozen_alive = 0;
         std::uint32_t issuable_barrier = 0;
@@ -1314,10 +1386,13 @@ SmCore::verifyReadySets() const
                 barrier += warp.atBarrier() ? 1 : 0;
                 offchip += warp.pendingOffChip() > 0 ? 1 : 0;
                 const bool member = warpReadyMember(cta, warp);
-                VTSIM_ASSERT((cta.listed[w] != 0) == member,
-                             "listed flag diverged for warp ", w,
-                             " of cta ", slot);
+                const std::uint8_t cls =
+                    portClass(kernelOf(cta)->at(warp.stack().pc()));
+                VTSIM_ASSERT(cta.listed[w] == (member ? 1 + cls : 0),
+                             "listed flag or port class diverged for warp ",
+                             w, " of cta ", slot);
                 if (member) {
+                    ++classes[2 * cls + (warp.pendingOffChip() > 0)];
                     expected.push_back(readyKey(cta, slot, w));
                     ++members[slot];
                     members_offchip[slot] += warp.pendingOffChip() > 0;
@@ -1339,6 +1414,8 @@ SmCore::verifyReadySets() const
                      "ready list diverged from full scan on sched ", s,
                      " (", ready_[s].size(), " vs ", expected.size(),
                      " entries)");
+        VTSIM_ASSERT(classes == classCount_[s],
+                     "port-class counts diverged on sched ", s);
         VTSIM_ASSERT(alive == schedAlive_[s] &&
                      frozen_alive == schedFrozenAlive_[s] &&
                      issuable_barrier == schedIssuableBarrier_[s] &&
@@ -1351,7 +1428,7 @@ SmCore::verifyReadySets() const
             continue;
         std::uint32_t listed = 0;
         for (const std::uint8_t flag : cta.listed)
-            listed += flag;
+            listed += flag != 0;
         std::uint32_t offchip = 0;
         for (const std::uint32_t n : cta.offchipBySched)
             offchip += n;

@@ -326,7 +326,8 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         std::uint32_t pendingOffChipTotal = 0;
         /**
          * Derived from the ready lists (rebuilt on restore, never
-         * checkpointed): per warp, whether its key is listed; the number
+         * checkpointed): per warp, 0 or 1 + the PortClass of its next
+         * instruction when its key is listed; the number
          * of listed warps; and how many of those have >= 1 off-chip
          * transaction outstanding. They answer the VT stall poll in O(1)
          * and O(schedulers) — see ctaFullyStalled().
@@ -361,10 +362,40 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
                    const Instruction &inst, Cycle now);
     void maybeReleaseBarrier(VirtualCtaId slot, Cycle now);
     void finishCta(VirtualCtaId slot, Cycle now);
-    /** Attribute scheduler @p scheduler's empty slot from its ready
-     *  list and cached counters, in O(ready warps). */
-    BubbleKind classifyIssueBubble(std::uint32_t scheduler,
-                                   Cycle now) const;
+    /** Port class of an instruction: the budget and port its issue
+     *  needs. A listed warp caches its next instruction's class. */
+    enum PortClass : std::uint8_t
+    {
+        ControlPort,
+        AluPort,
+        SfuPort,
+        GlobalPort,
+        SharedPort,
+        numPortClasses
+    };
+    static std::uint8_t portClass(const Instruction &inst)
+    {
+        switch (inst.funcUnit()) {
+          case FuncUnit::Control: return ControlPort;
+          case FuncUnit::Alu: return AluPort;
+          case FuncUnit::Sfu: return SfuPort;
+          case FuncUnit::Mem: break;
+        }
+        return inst.isGlobalMem() ? GlobalPort : SharedPort;
+    }
+    /** Listed warps of one scheduler by (port class, off-chip), at
+     *  class * 2 + (pendingOffChip > 0). */
+    using ClassCounts = std::array<std::uint32_t, 2 * numPortClasses>;
+    /** Whether some warp listed on scheduler @p s may issue under these
+     *  ports and budgets, from its class counts alone; valid while no
+     *  listed warp has readyAt > now. */
+    bool anyClassIssuable(std::uint32_t s, bool ldst_ok, bool shmem_ok,
+                          const IssueBudgets &budgets) const;
+    /** Attribute scheduler @p s's empty slot from its class counts and
+     *  cached counters, in O(1); valid while no listed warp has
+     *  readyAt > now. */
+    BubbleKind countedBubble(std::uint32_t s, bool ldst_ok,
+                             bool shmem_ok) const;
     /** The attribution itself, given what a walk of scheduler @p s's
      *  ready list found: whether a listed off-chip warp could not
      *  issue, and how many listed warps are off-chip. */
@@ -456,6 +487,9 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
     /** Rebuild every CTA's listed flags and ready counters from the
      *  ready lists (after restore). */
     void rebuildReadyCounters();
+    /** Re-derive the listed warps' port classes and class counts (due
+     *  after restore, once the kernels are bound again). */
+    void rebuildClasses();
 
     /** Retire warp @p w of issuable CTA @p slot: settle the alive /
      *  barrier / off-chip counters it contributed to. */
@@ -516,6 +550,11 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
      * structures" for the invariants.
      */
     std::vector<std::vector<std::uint64_t>> ready_;
+    std::vector<ClassCounts> classCount_;
+    /** A barrier released during this cycle's issue stage: warps it
+     *  listed have readyAt = now + 1, so later schedulers must walk. */
+    bool lateReady_ = false;
+    bool classesStale_ = false;
     // Per-scheduler aggregates over all valid CTAs (schedAlive_,
     // schedFrozenAlive_) and over Active CTAs only (the issuable pair) —
     // exactly what the bubble classifier needs.
