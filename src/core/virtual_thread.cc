@@ -85,7 +85,7 @@ void
 VirtualThreadManager::enterActive(VirtualCtaId id)
 {
     ctas_[id].tracked = false;
-    markDirty(id);
+    onCtaStallChanged(id);
 }
 
 void
@@ -392,9 +392,7 @@ VirtualThreadManager::nextEventCycle(Cycle now) const
             next = std::min(next, now + (config_.vtStallThreshold - 1 - s));
     }
     // No ready incoming is the same answer for any armed victim.
-    if (victim_ != invalidId &&
-        streak(ctas_[victim_]) >= config_.vtStallThreshold &&
-        pickSwapIn(true) != invalidId)
+    if (armed() && pickSwapIn(true) != invalidId)
         return now;
     return next;
 }
@@ -405,9 +403,8 @@ VirtualThreadManager::fastForwardIdle(std::uint64_t n)
     unsampled_ += n;
     if (!config_.vtEnabled)
         return;
-    // Tracked streaks follow the clock. An untracked CTA (Active but not
-    // yet polled) keeps its streak in the record, which grows while its
-    // last answer was stalled, exactly as a per-cycle count would.
+    // Tracked streaks follow the clock; an untracked CTA's recorded
+    // streak grows while its last answer was stalled.
     clock_ += n;
     for (const VirtualCtaId id : dirty_) {
         CtaRec &rec = ctas_[id];
@@ -464,10 +461,9 @@ VirtualThreadManager::step(Cycle now)
 
     // 4. At most one swap pair per cycle (one context-switch port): the
     //    longest armed streak, if any CTA is ready to run instead.
-    const VirtualCtaId victim = victim_;
-    if (victim == invalidId ||
-        streak(ctas_[victim]) < config_.vtStallThreshold)
+    if (!armed())
         return;
+    const VirtualCtaId victim = victim_;
     const VirtualCtaId incoming = pickSwapIn(true);
     if (incoming == invalidId)
         return; // Nobody to run instead: swapping out would only hurt.

@@ -58,10 +58,9 @@ class VtCtaQuery
 
     /** True when no live warp of the CTA could issue this cycle for
      *  warp-local reasons (dependences, barrier), ignoring per-cycle
-     *  structural ports. Asked of Active CTAs at the VT tick only, and
-     *  only after the owner reported a possible flip through
-     *  VirtualThreadManager::onCtaStallChanged (or the CTA became
-     *  Active): the manager caches both stall answers between polls. */
+     *  structural ports. Asked of Active CTAs at the VT tick only, after
+     *  a flip reported through VirtualThreadManager::onCtaStallChanged
+     *  or an activation: the answers are cached between polls. */
     virtual bool ctaFullyStalled(VirtualCtaId id) const = 0;
 
     /** True when at least one warp of the CTA is blocked waiting on an
@@ -149,17 +148,16 @@ class VirtualThreadManager
      */
     void onCtaReadinessChanged(VirtualCtaId id, bool ready);
 
-    /**
-     * The answers ctaFullyStalled / ctaAnyWarpLongStalled give for
-     * resident CTA @p id may have flipped; the next tick re-polls it.
-     * The owner must report every flip of the answer the configured
-     * trigger reads (ignored for CTAs that are not Active).
-     */
+    /** The stall answers of CTA @p id may have flipped: re-poll it at
+     *  the next tick. The owner must report every flip of the answers
+     *  the configured trigger reads (ignored unless @p id is Active). */
     void onCtaStallChanged(VirtualCtaId id)
     {
         if (id < ctas_.size() && ctas_[id].resident &&
-            ctas_[id].state == CtaState::Active)
-            markDirty(id);
+            ctas_[id].state == CtaState::Active && !ctas_[id].dirty) {
+            ctas_[id].dirty = true;
+            dirty_.push_back(id);
+        }
     }
 
     /** Advance the state machine one cycle. Costs O(1) unless a swap
@@ -172,8 +170,7 @@ class VirtualThreadManager
             return;
         ++clock_;
         if (now >= nextTransition_ || slotFits_ || !dirty_.empty() ||
-            (victim_ != invalidId &&
-             streak(ctas_[victim_]) >= config_.vtStallThreshold))
+            armed())
             step(now);
     }
 
@@ -293,29 +290,24 @@ class VirtualThreadManager
         CtaState state = CtaState::Active;
         Cycle transitionAt = 0;  ///< When the current Swapping* finishes.
         std::uint64_t age = 0;   ///< Admission order.
-        /** Consecutive stalled cycles; while `tracked`, streak() holds
-         *  the live value and this field is written back on leaving the
-         *  Active state. */
+        /** Consecutive stalled cycles, and the stall poll / swap trigger
+         *  as the last VT tick saw them. While `tracked`, streak() and
+         *  triggerable() hold the live values; leaveActive() writes them
+         *  back. */
         std::uint32_t stalledFor = 0;
         bool everSwapped = false;
-        /** The stall poll's answer as the last poll saw it (the last VT
-         *  tick's answer: every flip is re-polled at the next tick). */
         bool stalledNow = false;
-        /** The swap trigger as the last tick saw it; derived from the
-         *  streak while `tracked`, like stalledFor. */
         bool triggeredNow = false;
         /** Owning grid (concurrent launches; solo CTAs are grid 0). */
         GridId grid = 0;
         /** Cached ctaPendingOffChip(id) == 0 (derived, not serialized). */
         bool ready = true;
-        // --- Event-driven streak (derived, not serialized) ---
-        /** Active and polled since it became Active. */
+        // Derived, not serialized: polled since it became Active; queued
+        // in dirty_; ctaAnyWarpLongStalled at the last poll (if stalled);
+        // clock_ at the streak's first cycle.
         bool tracked = false;
-        /** Queued in dirty_ for a re-poll at the next tick. */
         bool dirty = false;
-        /** ctaAnyWarpLongStalled at the last poll (when stalled). */
         bool longNow = false;
-        /** clock_ of the streak's first cycle (valid while stalled). */
         std::uint64_t stallStart = 0;
     };
 
@@ -362,12 +354,11 @@ class VirtualThreadManager
                (rec.longNow ||
                 config_.vtSwapTrigger == VtSwapTrigger::AnyWarpStalled);
     }
-    void markDirty(VirtualCtaId id)
+    /** Some streak has reached the threshold. */
+    bool armed() const
     {
-        if (!ctas_[id].dirty) {
-            ctas_[id].dirty = true;
-            dirty_.push_back(id);
-        }
+        return victim_ != invalidId &&
+               streak(ctas_[victim_]) >= config_.vtStallThreshold;
     }
     /** Re-poll the dirty CTAs and re-derive stalled_ and victim_. */
     void repoll();

@@ -312,30 +312,6 @@ SmCore::hasInactiveCta(GridId grid) const
     return false;
 }
 
-bool
-SmCore::budgetAllows(const Instruction &inst,
-                     const IssueBudgets &budgets) const
-{
-    switch (inst.funcUnit()) {
-      case FuncUnit::Alu: return budgets.alu > 0;
-      case FuncUnit::Sfu: return budgets.sfu > 0;
-      case FuncUnit::Mem: return budgets.mem > 0;
-      case FuncUnit::Control: return true;
-    }
-    return false;
-}
-
-void
-SmCore::chargeBudget(const Instruction &inst, IssueBudgets &budgets) const
-{
-    switch (inst.funcUnit()) {
-      case FuncUnit::Alu: --budgets.alu; break;
-      case FuncUnit::Sfu: --budgets.sfu; break;
-      case FuncUnit::Mem: --budgets.mem; break;
-      case FuncUnit::Control: break;
-    }
-}
-
 void
 SmCore::tick(Cycle now)
 {
@@ -396,36 +372,33 @@ SmCore::tick(Cycle now)
     //    attribution it gathered on the way classifies the empty slot
     //    (the outcome is identical to countedBubble()).
     const StallBreakdown before_issue = stalls_;
-    IssueBudgets budgets{config_.aluThroughputPerSm,
+    IssueBudgets budgets{~0u, config_.aluThroughputPerSm,
                          config_.sfuThroughputPerSm,
                          config_.ldstThroughputPerSm};
     lateReady_ = false;
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
         // Structural ports are constant within one scheduler's walk
         // (issues by earlier schedulers already happened): hoist.
-        const bool ldst_ok = ldst_.canAccept();
-        const bool shmem_ok = shmem_.canAccept(now);
+        const PortsOpen open{true, true, true, ldst_.canAccept(),
+                             shmem_.canAccept(now)};
         // When every listed class is blocked by its port or a spent
         // budget, the counts classify the bubble without a walk.
-        if (!lateReady_ &&
-            !anyClassIssuable(s, ldst_ok, shmem_ok, budgets)) {
-            chargeBubble(countedBubble(s, ldst_ok, shmem_ok), 1);
+        if (!lateReady_ && !anyClassIssuable(s, open, budgets)) {
+            chargeBubble(countedBubble(s, open), 1);
             continue;
         }
         bool mem_blocked = false;
         std::uint32_t ready_offchip = 0;
         const auto can_issue = [&](std::uint64_t key) {
             const VirtualCta &cta = ctas_[readySlot(key)];
-            const WarpContext &warp = cta.warps[readyWarp(key)];
-            const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
-            const bool ready = warp.readyAt() <= now &&
-                               (!inst.isGlobalMem() || ldst_ok) &&
-                               (!inst.isSharedMem() || shmem_ok);
-            if (warp.pendingOffChip() > 0) {
+            const std::uint32_t w = readyWarp(key);
+            const std::uint8_t cls = cta.listed[w] - 1;
+            const bool ready = cta.warps[w].readyAt() <= now && open[cls];
+            if (cta.warps[w].pendingOffChip() > 0) {
                 ++ready_offchip;
                 mem_blocked = mem_blocked || !ready;
             }
-            return ready && budgetAllows(inst, budgets);
+            return ready && budgets[budgetSlot[cls]] > 0;
         };
         const std::size_t chosen = schedulers_[s].select(ready_[s], can_issue);
         if (chosen == ready_[s].size()) {
@@ -436,10 +409,10 @@ SmCore::tick(Cycle now)
         const VirtualCtaId slot = readySlot(key);
         VirtualCta &cta = ctas_[slot];
         WarpContext &warp = cta.warps[readyWarp(key)];
-        const Instruction &inst = kernelOf(cta)->at(warp.stack().pc());
-        chargeBudget(inst, budgets);
+        --budgets[budgetSlot[cta.listed[readyWarp(key)] - 1]];
         ++stalls_.issued;
-        issueWarp(cta, slot, warp, inst, now);
+        issueWarp(cta, slot, warp, kernelOf(cta)->at(warp.stack().pc()),
+                  now);
     }
 
     // 5. DYNCTA-style throttling: feed this cycle's observation into the
@@ -502,29 +475,30 @@ SmCore::nextWriteback() const
 }
 
 bool
-SmCore::anyClassIssuable(std::uint32_t s, bool ldst_ok, bool shmem_ok,
+SmCore::anyClassIssuable(std::uint32_t s, const PortsOpen &open,
                          const IssueBudgets &budgets) const
 {
     const ClassCounts &c = classCount_[s];
-    const auto listed = [&](PortClass k) { return c[2 * k] + c[2 * k + 1]; };
-    return listed(ControlPort) > 0 ||
-           (listed(AluPort) > 0 && budgets.alu > 0) ||
-           (listed(SfuPort) > 0 && budgets.sfu > 0) ||
-           (budgets.mem > 0 && ((listed(GlobalPort) > 0 && ldst_ok) ||
-                                (listed(SharedPort) > 0 && shmem_ok)));
+    for (std::uint32_t k = 0; k < numPortClasses; ++k) {
+        if (c[2 * k] + c[2 * k + 1] > 0 && open[k] &&
+            budgets[budgetSlot[k]] > 0)
+            return true;
+    }
+    return false;
 }
 
 SmCore::BubbleKind
-SmCore::countedBubble(std::uint32_t s, bool ldst_ok, bool shmem_ok) const
+SmCore::countedBubble(std::uint32_t s, const PortsOpen &open) const
 {
     // An off-chip warp blocked by its port is mem-blocked; one blocked
     // only by a spent budget is not (the walk's rule).
     const ClassCounts &c = classCount_[s];
-    const bool mem_blocked = (c[2 * GlobalPort + 1] > 0 && !ldst_ok) ||
-                             (c[2 * SharedPort + 1] > 0 && !shmem_ok);
+    bool mem_blocked = false;
     std::uint32_t ready_offchip = 0;
-    for (std::uint32_t k = 0; k < numPortClasses; ++k)
+    for (std::uint32_t k = 0; k < numPortClasses; ++k) {
+        mem_blocked = mem_blocked || (c[2 * k + 1] > 0 && !open[k]);
         ready_offchip += c[2 * k + 1];
+    }
     return bubbleKind(s, mem_blocked, ready_offchip);
 }
 
@@ -675,8 +649,8 @@ SmCore::accountIdleCycles(Cycle now, std::uint64_t n)
         rebuildClasses();
     bool any_mem = false;
     for (std::uint32_t s = 0; s < config_.numSchedulers; ++s) {
-        const BubbleKind kind =
-            countedBubble(s, ldst_.canAccept(), shmem_.canAccept(now));
+        const BubbleKind kind = countedBubble(
+            s, {true, true, true, ldst_.canAccept(), shmem_.canAccept(now)});
         chargeBubble(kind, n);
         any_mem = any_mem || kind == BubbleKind::Mem;
     }

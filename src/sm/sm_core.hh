@@ -337,31 +337,6 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         std::uint32_t readyOffchip = 0;
     };
 
-    /** Per-cycle structural budgets, reset each tick. */
-    struct IssueBudgets
-    {
-        std::uint32_t alu = 0;
-        std::uint32_t sfu = 0;
-        std::uint32_t mem = 0;
-    };
-
-    /** Attribution of a scheduler-cycle that issued nothing. */
-    enum class BubbleKind : std::uint8_t
-    {
-        Idle,
-        Mem,
-        Barrier,
-        Swap,
-        Short,
-    };
-
-    bool budgetAllows(const Instruction &inst,
-                      const IssueBudgets &budgets) const;
-    void chargeBudget(const Instruction &inst, IssueBudgets &budgets) const;
-    void issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
-                   const Instruction &inst, Cycle now);
-    void maybeReleaseBarrier(VirtualCtaId slot, Cycle now);
-    void finishCta(VirtualCtaId slot, Cycle now);
     /** Port class of an instruction: the budget and port its issue
      *  needs. A listed warp caches its next instruction's class. */
     enum PortClass : std::uint8_t
@@ -383,19 +358,37 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         }
         return inst.isGlobalMem() ? GlobalPort : SharedPort;
     }
+    /** Per-cycle structural budgets, reset each tick: control (unbounded),
+     *  ALU, SFU, and the LD/ST slots both memory classes share. */
+    using IssueBudgets = std::array<std::uint32_t, 4>;
+    static constexpr std::array<std::uint8_t, numPortClasses> budgetSlot{
+        0, 1, 2, 3, 3};
+    /** Whether each class's port accepts an issue this cycle. */
+    using PortsOpen = std::array<bool, numPortClasses>;
     /** Listed warps of one scheduler by (port class, off-chip), at
      *  class * 2 + (pendingOffChip > 0). */
     using ClassCounts = std::array<std::uint32_t, 2 * numPortClasses>;
-    /** Whether some warp listed on scheduler @p s may issue under these
-     *  ports and budgets, from its class counts alone; valid while no
-     *  listed warp has readyAt > now. */
-    bool anyClassIssuable(std::uint32_t s, bool ldst_ok, bool shmem_ok,
+
+    /** Attribution of a scheduler-cycle that issued nothing. */
+    enum class BubbleKind : std::uint8_t
+    {
+        Idle,
+        Mem,
+        Barrier,
+        Swap,
+        Short,
+    };
+
+    void issueWarp(VirtualCta &cta, VirtualCtaId slot, WarpContext &warp,
+                   const Instruction &inst, Cycle now);
+    void maybeReleaseBarrier(VirtualCtaId slot, Cycle now);
+    void finishCta(VirtualCtaId slot, Cycle now);
+    /** Whether some warp listed on scheduler @p s may issue, and the
+     *  attribution of its empty slot, from its class counts alone:
+     *  valid while no listed warp has readyAt > now. */
+    bool anyClassIssuable(std::uint32_t s, const PortsOpen &open,
                           const IssueBudgets &budgets) const;
-    /** Attribute scheduler @p s's empty slot from its class counts and
-     *  cached counters, in O(1); valid while no listed warp has
-     *  readyAt > now. */
-    BubbleKind countedBubble(std::uint32_t s, bool ldst_ok,
-                             bool shmem_ok) const;
+    BubbleKind countedBubble(std::uint32_t s, const PortsOpen &open) const;
     /** The attribution itself, given what a walk of scheduler @p s's
      *  ready list found: whether a listed off-chip warp could not
      *  issue, and how many listed warps are off-chip. */

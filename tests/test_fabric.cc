@@ -571,7 +571,25 @@ TEST_F(CoordinatorFixture, MigratesParkedJobAndStealsQueuedWork)
 
     // Once b drains, the steal round pulls queued high jobs off a's
     // deep queue; a stolen job reruns from scratch elsewhere and
-    // deterministic simulation keeps its results identical.
+    // deterministic simulation keeps its results identical. A steal
+    // needs b idle while a still has queued work, so keep a's queue
+    // non-empty until one happens: whenever a's newest high job starts,
+    // submit another (a fixed number at most).
+    constexpr int maxExtraHighs = 16;
+    for (int extra = 0; coord_->steals() < 1 && extra < maxExtraHighs;
+         ++extra) {
+        const std::uint64_t gid = submit("bfs", 2, "high", "a");
+        ASSERT_NE(gid, 0u) << lastReply_.dump();
+        highs.push_back(gid);
+        spinUntil(
+            [&] {
+                if (coord_->steals() >= 1)
+                    return true;
+                const std::string state = fabricState(gid);
+                return state == "running" || state == "done";
+            },
+            "an extra high job never started");
+    }
     spinUntil([&] { return coord_->steals() >= 1; },
               "no queued job was ever stolen by the idle node");
     for (const std::uint64_t gid : highs) {

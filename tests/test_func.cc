@@ -15,6 +15,45 @@
 namespace vtsim {
 namespace {
 
+TEST(CtaFuncStateImage, RoundTripKeepsThreadMajorBytes)
+{
+    // 80 threads: two full warps and a 16-lane tail warp padded to 32.
+    constexpr std::uint32_t threads = 80;
+    constexpr std::uint32_t regs = 7;
+    CtaFuncState cta;
+    cta.init(5, Dim3(1, 2, 0), threads, regs, 16);
+    EXPECT_EQ(cta.regs.size(), 3u * regs * warpSize);
+    std::vector<std::uint32_t> image(threads * regs);
+    for (std::uint32_t t = 0; t < threads; ++t) {
+        for (RegIndex r = 0; r < regs; ++r) {
+            const std::uint32_t v = t * 1000 + r;
+            cta.writeReg(t, r, v);
+            image[t * regs + r] = v;
+        }
+    }
+    // Warp-major: register r of lane l of warp w at (w * R + r) * 32 + l.
+    EXPECT_EQ(cta.regs[(2 * regs + 3) * warpSize + 5], 69u * 1000 + 3);
+    cta.shared[3] = 0xab;
+
+    Serializer ser;
+    cta.save(ser);
+    Serializer want; // The thread-major image, built by hand.
+    want.put(std::uint64_t(5));
+    want.put(Dim3(1, 2, 0));
+    want.putVec(image);
+    want.putVec(cta.shared);
+    want.put(regs);
+    want.put(threads);
+    EXPECT_EQ(ser.buffer(), want.buffer());
+
+    CtaFuncState back;
+    Deserializer des(ser.buffer());
+    back.restore(des);
+    EXPECT_EQ(back.regs, cta.regs);
+    EXPECT_EQ(back.shared, cta.shared);
+    EXPECT_EQ(back.readReg(79, 6), 79u * 1000 + 6);
+}
+
 class FuncTest : public ::testing::Test
 {
   protected:

@@ -18,6 +18,7 @@
 
 #include "common/rng.hh"
 #include "gpu/gpu.hh"
+#include "isa/assembler.hh"
 #include "test_util.hh"
 #include "workloads/workload.hh"
 
@@ -182,6 +183,72 @@ TEST(Checkpoint, RestoreResumesBitIdentically)
         std::remove(end_a.c_str());
         std::remove(end_b.c_str());
     }
+}
+
+TEST(Checkpoint, RestoresWritebacksOfEverySource)
+{
+    // Every iteration issues a shared-memory load, an SFU op and ALU ops
+    // with independent destinations, so a mid-kernel image holds
+    // writebacks of all three sources in flight; they restore into one
+    // FIFO and must still retire in time order.
+    const Kernel k = assemble(R"(
+.kernel wbmix
+.shared 512
+    ldp r0, 0
+    s2r r1, tid.x
+    shl r2, r1, 2
+    sts [r2], r1
+    bar
+    movi r3, 0
+    movi r9, 0
+loop:
+    lds r4, [r2]
+    frcp r5, r1
+    iadd r6, r1, r3
+    iadd r9, r9, r4
+    iadd r9, r9, r5
+    iadd r9, r9, r6
+    iadd r3, r3, 1
+    isetp.lt r7, r3, 24
+    bra r7, loop
+    s2r r8, ctaid.x
+    s2r r10, ntid.x
+    imad r8, r8, r10, r1
+    shl r8, r8, 2
+    iadd r8, r8, r0
+    stg [r8], r9
+    exit
+)");
+    GpuConfig cfg = smallConfig();
+    cfg.vtEnabled = true;
+    LaunchParams lp;
+    lp.cta = Dim3(128);
+    lp.grid = Dim3(8);
+    const auto run = [&](Gpu &gpu) {
+        lp.params = {std::uint32_t(gpu.memory().alloc(8 * 128 * 4))};
+        return gpu.launch(k, lp);
+    };
+    const std::string end_a = test::uniqueTempPath("wbmix_end_a");
+    Gpu u(cfg);
+    u.setCheckpoint(end_a, 0);
+    const KernelStats stats_u = run(u);
+    ASSERT_GT(stats_u.cycles, 30u);
+    for (const Cycle every : {stats_u.cycles / 3 + 1, stats_u.cycles / 2 + 3,
+                              stats_u.cycles * 2 / 3 + 5}) {
+        const std::string mid = test::uniqueTempPath("wbmix_mid");
+        const std::string end_b = test::uniqueTempPath("wbmix_end_b");
+        Gpu c(cfg);
+        c.setCheckpoint(mid, every);
+        expectIdenticalStats(stats_u, run(c), "checkpointing");
+        Gpu r(cfg);
+        const LaunchParams restored = r.restoreCheckpoint(mid);
+        r.setCheckpoint(end_b, 0);
+        expectIdenticalStats(stats_u, r.launch(k, restored), "resumed");
+        EXPECT_EQ(readFile(end_a), readFile(end_b)) << "every " << every;
+        std::remove(mid.c_str());
+        std::remove(end_b.c_str());
+    }
+    std::remove(end_a.c_str());
 }
 
 TEST(Checkpoint, RejectsMismatchedConfigAndKernel)

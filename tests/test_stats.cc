@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "stats/stats.hh"
@@ -46,6 +48,46 @@ TEST(ScalarStat, TracksMinMaxMean)
     EXPECT_DOUBLE_EQ(s.maxValue(), 10.0);
     s.reset();
     EXPECT_EQ(s.count(), 0u);
+}
+
+TEST(ScalarStat, SampleNMatchesRepeatedSamples)
+{
+    // sampleN takes v * n when that is exact (whole numbers within 2^53)
+    // and repeated addition otherwise; either way the result must be
+    // bit-identical to n calls of sample(v).
+    constexpr double two53 = 9007199254740992.0;
+    struct Case
+    {
+        double start; ///< Sum before the bulk samples.
+        double v;
+        std::uint64_t n;
+    };
+    const Case cases[] = {
+        {0.0, 3.0, 1000},         // whole: the O(1) path
+        {-5.0, -7.0, 333},        // negative whole values
+        {0.0, 0.1, 1000},         // fractional: rounding per addition
+        {1.5, 2.0, 100},          // fractional sum, whole v
+        {two53 - 64, 1.0, 64},    // lands exactly on 2^53
+        {two53 - 64, 1.0, 65},    // one step past 2^53: loop path
+        {two53 - 10, 3.0, 4},     // 3 * 4 crosses 2^53 by 2
+        {two53, 0.0, 10},         // zero at the boundary
+        {0.0, -0.0, 5},           // signed zero
+    };
+    for (const Case &c : cases) {
+        ScalarStat bulk;
+        ScalarStat loop;
+        bulk.sample(c.start);
+        loop.sample(c.start);
+        bulk.sampleN(c.v, c.n);
+        for (std::uint64_t i = 0; i < c.n; ++i)
+            loop.sample(c.v);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk.sum()),
+                  std::bit_cast<std::uint64_t>(loop.sum()))
+            << "start " << c.start << " v " << c.v << " n " << c.n;
+        EXPECT_EQ(bulk.count(), loop.count());
+        EXPECT_EQ(bulk.minValue(), loop.minValue());
+        EXPECT_EQ(bulk.maxValue(), loop.maxValue());
+    }
 }
 
 TEST(Histogram, BucketsAndOverflow)

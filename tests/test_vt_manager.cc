@@ -31,12 +31,14 @@ class MockQuery : public VtCtaQuery
     bool
     ctaFullyStalled(VirtualCtaId id) const override
     {
+        ++polls;
         return obs_.at(id).fullyStalled;
     }
 
     bool
     ctaAnyWarpLongStalled(VirtualCtaId id) const override
     {
+        ++polls;
         return obs_.at(id).longStalled;
     }
 
@@ -66,6 +68,9 @@ class MockQuery : public VtCtaQuery
             mgr_->onCtaStallChanged(id);
         return obs_[id];
     }
+
+    /** Stall queries answered so far. */
+    mutable std::uint64_t polls = 0;
 
   private:
     std::map<VirtualCtaId, CtaObs> obs_;
@@ -407,6 +412,84 @@ TEST_F(VtManagerTest, ReadinessFlipReachesWaitingVictim)
     mgr_.verifyDerivedState();
     EXPECT_EQ(mgr_.state(3), CtaState::Active);
     EXPECT_EQ(mgr_.state(0), CtaState::Inactive);
+}
+
+TEST_F(VtManagerTest, StreakCrossesThresholdAcrossIdleWindow)
+{
+    cfg_.vtStallThreshold = 10;
+    for (VirtualCtaId id = 0; id < 3; ++id) {
+        query_[id] = {};
+        mgr_.onAdmit(id, 0);
+    }
+    stall(query_, 0);
+    // Per-cycle rule: the streak is 1 at the tick of cycle 1 and reaches
+    // the threshold at cycle 10, fast-forwarded cycles included.
+    for (Cycle c = 1; c <= 3; ++c)
+        mgr_.tick(c);
+    EXPECT_EQ(mgr_.nextEventCycle(4), 10u);
+    mgr_.fastForwardIdle(4); // cycles 4..7
+    mgr_.tick(8);
+    mgr_.tick(9);
+    mgr_.verifyDerivedState();
+    EXPECT_EQ(mgr_.swapOuts(), 0u);
+    EXPECT_EQ(mgr_.nextEventCycle(10), 10u);
+    mgr_.tick(10);
+    EXPECT_EQ(mgr_.swapOuts(), 1u);
+    EXPECT_EQ(mgr_.state(0), CtaState::SwappingOut);
+}
+
+TEST_F(VtManagerTest, ObservedFlipResetsStreak)
+{
+    cfg_.vtStallThreshold = 10;
+    for (VirtualCtaId id = 0; id < 3; ++id) {
+        query_[id] = {};
+        mgr_.onAdmit(id, 0);
+    }
+    stall(query_, 0);
+    for (Cycle c = 1; c <= 5; ++c)
+        mgr_.tick(c);
+    // A flip and its reversal between two ticks is never observed: the
+    // streak goes on.
+    query_[0].fullyStalled = false;
+    query_[0].fullyStalled = true;
+    mgr_.tick(6);
+    // Observed by the tick of cycle 7: the streak restarts at cycle 8.
+    query_[0].fullyStalled = false;
+    mgr_.tick(7);
+    query_[0].fullyStalled = true;
+    for (Cycle c = 8; c <= 16; ++c) {
+        mgr_.tick(c);
+        mgr_.verifyDerivedState();
+        EXPECT_EQ(mgr_.swapOuts(), 0u) << "cycle " << c;
+    }
+    mgr_.tick(17);
+    EXPECT_EQ(mgr_.swapOuts(), 1u);
+}
+
+TEST_F(VtManagerTest, ArmedVictimWaitsWithoutRepolling)
+{
+    for (VirtualCtaId id = 0; id < 3; ++id) {
+        query_[id] = {};
+        mgr_.onAdmit(id, 0);
+    }
+    stall(query_, 0);
+    query_.setPending(2, 1); // the only inactive CTA awaits data
+    mgr_.tick(1);
+    mgr_.tick(2); // armed: the streak is at the threshold
+    const std::uint64_t polls = query_.polls;
+    for (Cycle c = 3; c < 50; ++c)
+        mgr_.tick(c);
+    EXPECT_EQ(query_.polls, polls); // nothing flipped, nothing re-polled
+    EXPECT_EQ(mgr_.swapOuts(), 0u);
+    EXPECT_EQ(mgr_.nextEventCycle(50), neverCycle);
+
+    // The inactive CTA's data arrives: the swap fires on that cycle.
+    query_.setPending(2, 0);
+    EXPECT_EQ(mgr_.nextEventCycle(50), 50u);
+    mgr_.tick(50);
+    EXPECT_EQ(mgr_.swapOuts(), 1u);
+    EXPECT_EQ(mgr_.state(0), CtaState::SwappingOut);
+    EXPECT_EQ(mgr_.state(2), CtaState::SwappingIn);
 }
 
 TEST_F(VtManagerTest, StateQueriesValidate)
