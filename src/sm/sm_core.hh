@@ -327,10 +327,10 @@ class SmCore : public SimComponent, public LdstClient, public VtCtaQuery
         /**
          * Derived from the ready lists (rebuilt on restore, never
          * checkpointed): per warp, 0 or 1 + the PortClass of its next
-         * instruction when its key is listed; the number
-         * of listed warps; and how many of those have >= 1 off-chip
-         * transaction outstanding. They answer the VT stall poll in O(1)
-         * and O(schedulers) — see ctaFullyStalled().
+         * instruction when its key is listed; the number of listed
+         * warps; and how many of those have >= 1 off-chip transaction
+         * outstanding. They answer the VT stall poll in O(1) — see
+         * ctaFullyStalled().
          */
         std::vector<std::uint8_t> listed;
         std::uint32_t readyMembers = 0;
